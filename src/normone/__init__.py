@@ -38,7 +38,6 @@ from .lattices import (
 from .cohomology import (
     CohomologyGroup,
     ShaGroup,
-    cohomology,
     h1_character_kernel,
     is_coboundary,
     restriction_class,

@@ -10,7 +10,6 @@ element index, lexicographic element lists) is used throughout.
 from __future__ import annotations
 
 import itertools
-import random
 
 import numpy as np
 
@@ -25,8 +24,6 @@ from .finab import FinAb
 from . import intmat
 
 DEFAULT_ORDER_BUDGET = 512
-_ASSOC_EXHAUSTIVE_BOUND = 64
-_ASSOC_SAMPLES = 20000
 
 
 def is_prime(p):
@@ -84,29 +81,33 @@ class FiniteGroup:
             inv[g] = hits[0]
         self.inv = inv
         if validate:
-            self._validate()
+            self._validate_identity()
         if gens is None:
             gens = self._greedy_generators()
         self.gens = tuple(int(g) for g in gens)
+        if validate:
+            self._validate_associativity()
 
-    def _validate(self):
+    def _validate_identity(self):
         n, mul, e = self.order, self.mul, self.identity
         if not (mul[e] == np.arange(n)).all() or not (mul[:, e] == np.arange(n)).all():
             raise SpecInvalid("identity is not two-sided")
         for g in range(n):
             if mul[self.inv[g], g] != e:
                 raise SpecInvalid(f"inv[{g}] is not a left inverse")
-        if n <= _ASSOC_EXHAUSTIVE_BOUND:
-            ab_c = mul[mul, :]  # (a,b,c) -> (ab)c
-            a_bc = mul[:, mul]  # (a,b,c) -> a(bc), axes (a,b,c)
-            if not (ab_c == a_bc).all():
+
+    def _validate_associativity(self):
+        """Light's test: (x s) y = x (s y) for every generator s and all x, y.
+
+        Exact: the elements s passing it are closed under products, and
+        every element is a product of the generators.
+        """
+        mul, e = self.mul, self.identity
+        if len(closure_elements(mul, e, self.gens)) != self.order:
+            raise SpecInvalid("the generators do not generate the table")
+        for s in self.gens:
+            if not (mul[mul[:, s], :] == mul[:, mul[s, :]]).all():
                 raise SpecInvalid("multiplication table is not associative")
-        else:
-            rng = random.Random(0xA55)
-            for _ in range(_ASSOC_SAMPLES):
-                a, b, c = (rng.randrange(n) for _ in range(3))
-                if mul[mul[a, b], c] != mul[a, mul[b, c]]:
-                    raise SpecInvalid("multiplication table is not associative")
 
     def _greedy_generators(self):
         gens = []
@@ -259,12 +260,9 @@ class SubgroupHandle:
     def canonical_conjugate(self):
         """The lexicographically least conjugate (deterministic reports)."""
         G = self.parent
-        best = self.elements
-        for g in G.elements():
-            cand = tuple(sorted(G.conj(g, x) for x in self.elements))
-            if cand < best:
-                best = cand
-        return SubgroupHandle(G, best)
+        conjugates = np.sort(G.mul[G.mul[:, self.elements], G.inv[:, None]], axis=1)
+        best = conjugates[np.lexsort(conjugates.T[::-1])[0]]
+        return SubgroupHandle(G, best.tolist())
 
     def as_group(self, label=None):
         """Re-indexed FiniteGroup plus the local->parent element map."""

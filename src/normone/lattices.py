@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyFamily, GroupMismatch, SpecInvalid
-from .groups import SubgroupHandle, double_cosets, extend_from_generators
+from .groups import SubgroupHandle, double_cosets
 from . import intmat
 
 
@@ -98,21 +98,6 @@ def trivial_lattice(G, rank):
         raise SpecInvalid("rank must be nonnegative")
     act = np.broadcast_to(np.eye(rank, dtype=np.int64), (G.order, rank, rank)).copy()
     return GLattice(G, act, label=f"Z^{rank}", validate=False)
-
-
-def lattice_from_generator_matrices(G, matrices, label=""):
-    """Build the per-element action from matrices on G's canonical generators."""
-    mats = [np.asarray(M, dtype=np.int64) for M in matrices]
-    if not mats:
-        return trivial_lattice(G, 0)
-    r = mats[0].shape[0]
-    eye = np.eye(r, dtype=np.int64)
-    action = extend_from_generators(
-        G, mats, lambda A, B: A @ B, eye, eq=lambda A, B: (A == B).all()
-    )
-    if action is None:
-        raise SpecInvalid("generator matrices do not define an action")
-    return GLattice(G, np.stack(action), label=label)
 
 
 def coset_table(G, H):

@@ -4,7 +4,10 @@ Covers the degree sets that control when such a representation of a group
 of order coprime to p can have zero fixed space while some line's
 stabilizer acts trivially on the line, witness constructions for the
 degrees where one exists, the explicit 2-Sylow generators of GL_2(F_p),
-and an exhaustive subgroup scan certifying the non-existence half.
+and an exhaustive subgroup scan certifying the non-existence half.  The
+scan realizes GL_2(F_p), p <= 7, as a multiplication-table group and runs
+on the shared group engine of `groups` (closures, subgroup enumeration,
+canonical conjugates).
 """
 
 from __future__ import annotations
@@ -14,17 +17,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .catalog import cyclic_spec
 from .errors import (
     BudgetExceeded,
     NotCoprime,
     NotPrime,
+    OrderBudgetExceeded,
     PreconditionFailed,
     SpecInvalid,
 )
+from .finab import _factorize
 from .groups import (
     FiniteGroup,
     SubgroupHandle,
+    all_subgroups,
     build_group,
+    closure_elements,
     extend_from_generators,
     is_prime,
     semidirect_from_action,
@@ -296,12 +304,6 @@ def check_bc(rep):
     return b, c
 
 
-def cyclic_group(n, label=None):
-    n = int(n)
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, identity=0, label=label or f"Z{n}", gens=[1] if n > 1 else [], validate=False)
-
-
 def _rep_from_generator_matrix(G, M, p, line=None, hprime=None):
     if G.order == 1:
         eye = np.eye(2, dtype=np.int64).reshape(1, 2, 2)
@@ -332,7 +334,7 @@ def reps_of_cyclic(p, n):
         raise NotPrime(f"{p} is not prime")
     if math.gcd(p, n) != 1:
         raise NotCoprime(f"{n} is not coprime to {p}")
-    G = cyclic_group(n)
+    G = build_group(cyclic_spec(n))
     out = []
     m1 = math.gcd(n, p - 1)
     w = prime_field_root(p, m1)
@@ -377,7 +379,7 @@ def witness_rep(p, n):
     flags = d_membership(p * n, p)
     if not (flags.in_D1 or flags.in_D2):
         return None
-    G = cyclic_group(n)
+    G = build_group(cyclic_spec(n))
     g1 = math.gcd(n, p - 1)
     odd1 = next((q for q in range(3, g1 + 1, 2) if g1 % q == 0 and is_prime(q)), None)
     if odd1 is not None:
@@ -424,48 +426,11 @@ def s3_standard_rep(p):
     return RepTwoDim(s3, p, mats, line=line, hprime=H)
 
 
-def _mat_tuple(M):
-    return (int(M[0, 0]) , int(M[0, 1]), int(M[1, 0]), int(M[1, 1]))
-
-
-def _tuple_mat(t):
-    return np.array([[t[0], t[1]], [t[2], t[3]]], dtype=np.int64)
-
-
-def _tmul(a, b, p):
-    return (
-        (a[0] * b[0] + a[1] * b[2]) % p,
-        (a[0] * b[1] + a[1] * b[3]) % p,
-        (a[2] * b[0] + a[3] * b[2]) % p,
-        (a[2] * b[1] + a[3] * b[3]) % p,
-    )
-
-
-def _torder(t, p):
-    ident = (1, 0, 0, 1)
-    k, acc = 1, t
-    while acc != ident:
-        acc = _tmul(acc, t, p)
-        k += 1
-    return k
-
-
-def _tclosure(gens, p, cap=None):
-    ident = (1, 0, 0, 1)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = _tmul(x, s, p)
-                if y not in seen:
-                    if cap is not None and len(seen) >= cap:
-                        return None
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
+def _mat_pow(M, k, p):
+    out = np.eye(2, dtype=np.int64)
+    for _ in range(k):
+        out = out @ M % p
+    return out
 
 
 def sylow2_gl2(p):
@@ -475,65 +440,44 @@ def sylow2_gl2(p):
     primitive 2^s-th root of unity (s = ord_2(p-1)) and the coordinate
     swap.  For p = 3 mod 4 they are the trace companion X of a primitive
     2^{s+1}-th root of unity (s = ord_2(p+1)) and Y = rot90 * X, with
-    X^{2^s} = -1, Y^2 = 1, Y X Y^{-1} = X^{2^s - 1}.
+    X^{2^s} = -1, Y^2 = 1, Y X Y^{-1} = X^{2^s - 1}.  The order is that of
+    the permutation group the generators induce on the p^2 vectors.
     """
     p = int(p)
     if not is_prime(p) or p == 2:
         raise PreconditionFailed("an odd prime is required")
+    eye = np.eye(2, dtype=np.int64)
     if p % 4 == 1:
-        s = 0
-        q = p - 1
-        while q % 2 == 0:
-            s += 1
-            q //= 2
+        s = _factorize(p - 1)[2]
         zeta = prime_field_root(p, 2**s)
         X = np.array([[zeta, 0], [0, 1]], dtype=np.int64)
         Y = np.array([[1, 0], [0, zeta]], dtype=np.int64)
         Z = np.array([[0, 1], [1, 0]], dtype=np.int64)
         gens = [X, Y, Z]
     else:
-        s = 0
-        q = p + 1
-        while q % 2 == 0:
-            s += 1
-            q //= 2
+        s = _factorize(p + 1)[2]
         fp2 = QuadraticField(p)
         t = fp2.trace(fp2.zeta(2 ** (s + 1)))
         X = np.array([[0, 1], [1, t]], dtype=np.int64) % p
         Y = np.array([[0, 1], [-1, 0]], dtype=np.int64) % p @ X % p
         gens = [X, Y]
         # defining relations, verified exactly
-        xt = _mat_tuple(X)
-        acc = (1, 0, 0, 1)
-        for _ in range(2**s):
-            acc = _tmul(acc, xt, p)
-        if acc != ((p - 1) % p, 0, 0, (p - 1) % p):
+        if not (_mat_pow(X, 2**s, p) == (p - 1) * eye).all():
             raise ArithmeticError("X does not have the expected 2-power relation")
-        yt = _mat_tuple(Y)
-        if _tmul(yt, yt, p) != (1, 0, 0, 1):
+        if not (Y @ Y % p == eye).all():
             raise ArithmeticError("Y is not an involution")
-        conj = _tmul(_tmul(yt, xt, p), _tinv(yt, p), p)
-        expected = (1, 0, 0, 1)
-        for _ in range(2**s - 1):
-            expected = _tmul(expected, xt, p)
-        if conj != expected:
+        # Y is an involution, so it is its own inverse
+        if not (Y @ X % p @ Y % p == _mat_pow(X, 2**s - 1, p)).all():
             raise ArithmeticError("the dihedral-type relation fails")
-    group = _tclosure([_mat_tuple(M) for M in gens], p)
-    order = len(group)
-    glorder = p * (p - 1) ** 2 * (p + 1)
-    expected = 1
-    while glorder % 2 == 0:
-        expected *= 2
-        glorder //= 2
+    expected = 2 ** _factorize(p * (p - 1) ** 2 * (p + 1))[2]
+    v = np.arange(p * p)
+    vectors = np.stack([v % p, v // p])  # the vector with index v, as in vector_index
+    perms = [([1, p] @ (M @ vectors % p)).tolist() for M in gens]
+    spec = {"kind": "permutations", "degree": p * p, "generators": perms}
+    order = build_group(spec, order_budget=expected).order
     if order != expected:
         raise ArithmeticError(f"Sylow order {order} != expected {expected}")
-    return [np.array(M, dtype=np.int64) % p for M in gens], order
-
-
-def _tinv(t, p):
-    det = (t[0] * t[3] - t[1] * t[2]) % p
-    dinv = pow(det, p - 2, p)
-    return (t[3] * dinv % p, -t[1] * dinv % p, -t[2] * dinv % p, t[0] * dinv % p)
+    return [M % p for M in gens], order
 
 
 @dataclass
@@ -559,118 +503,85 @@ class ScanReport:
     budget: dict = field(default_factory=dict)
 
 
-def _gl2_elements(p):
-    out = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p:
-                        out.append((a, b, c, d))
-    return out
+_GL2_MAX_P = 7  # GL_2(F_7) has 2016 elements, a 32 MB table
+
+
+def _gl2_group(p):
+    """GL_2(F_p) as a FiniteGroup, plus its matrices as (a, b, c, d) rows.
+
+    Element i is the i-th invertible [[a, b], [c, d]] in lexicographic
+    (a, b, c, d) order, so a sorted tuple of indices lists its matrices in
+    sorted order too.  The table is filled one row at a time.
+    """
+    grid = np.indices((p,) * 4).reshape(4, -1).T
+    a, b, c, d = grid.T
+    mats = grid[(a * d - b * c) % p != 0]
+    radix = p ** np.arange(3, -1, -1)
+    index = np.full(p**4, -1, dtype=np.int64)
+    index[mats @ radix] = np.arange(len(mats))
+    a, b, c, d = mats.T
+    mul = np.empty((len(mats), len(mats)), dtype=np.int64)
+    for i, (x0, x1, x2, x3) in enumerate(mats.tolist()):
+        prod = np.stack([x0 * a + x1 * c, x0 * b + x1 * d, x2 * a + x3 * c, x2 * b + x3 * d])
+        mul[i] = index[radix @ (prod % p)]
+    identity = int(index[radix @ [1, 0, 0, 1]])
+    return FiniteGroup(mul, identity, label=f"GL2(F{p})", validate=False), mats
 
 
 _CLASS_CACHE = {}
 
 
-def _pprime_subgroup_classes_cached(p, gl, cap, max_subgroups):
-    # the enumeration is independent of the index n being scanned
-    key = (p, cap, max_subgroups)
-    if key not in _CLASS_CACHE:
-        _CLASS_CACHE[key] = _pprime_subgroup_classes(p, gl, cap, max_subgroups)
-    return _CLASS_CACHE[key]
-
-
-def _pprime_subgroup_classes(p, gl, cap, max_subgroups):
-    """All subgroups of GL_2(F_p) of order coprime to p, up to conjugacy.
+def _pprime_subgroup_classes(G, p, cap, max_subgroups):
+    """All subgroups of G = GL_2(F_p) of order coprime to p, up to conjugacy.
 
     Saturation search: start from cyclic subgroups and repeatedly adjoin a
-    single element; every subgroup arises along such a chain, so the
-    enumeration is complete.  Conjugacy deduplication is by explicit
-    conjugator search within invariant buckets.
+    single element to a class's generators; every subgroup arises along
+    such a chain, so the enumeration is complete.  Each class is
+    represented by the first subgroup found, and the least conjugate is
+    the deduplication key.  Returns the representatives as sorted element
+    tuples and the number of distinct subgroups met.
     """
-    ident = (1, 0, 0, 1)
-    pprime = [t for t in gl if _torder(t, p) % p != 0]
-    seen_sets = set()
-    classes = []  # list of frozensets (class representatives)
-    buckets = {}  # invariant key -> list of class indices
+    pprime = np.flatnonzero(G.element_orders % p).tolist()
+    seen = set()
+    keys = set()
+    classes = []  # (elements, generators)
 
-    def class_key(S):
-        orders = sorted(_torder(t, p) for t in S)
-        return (len(S), tuple(orders))
-
-    def register(S):
-        if S in seen_sets:
-            return None
-        if len(seen_sets) >= max_subgroups:
+    def register(elems, gens):
+        if elems in seen:
+            return
+        if len(seen) >= max_subgroups:
             raise BudgetExceeded(
                 "subgroup enumeration budget exceeded",
-                sizes={"subgroups": len(seen_sets), "budget": max_subgroups},
+                sizes={"subgroups": len(seen), "budget": max_subgroups},
             )
-        seen_sets.add(S)
-        key = class_key(S)
-        for ci in buckets.get(key, ()):  # conjugate to a known class?
-            T = classes[ci]
-            for g in gl:
-                ginv = _tinv(g, p)
-                if all(_tmul(_tmul(g, x, p), ginv, p) in T for x in S):
-                    return None
-        classes.append(S)
-        buckets.setdefault(key, []).append(len(classes) - 1)
-        return len(classes) - 1
+        seen.add(elems)
+        key = SubgroupHandle(G, elems).canonical_conjugate().elements
+        if key not in keys:
+            keys.add(key)
+            classes.append((elems, gens))
 
-    queue = []
+    def closure(gens):
+        try:
+            return closure_elements(G.mul, G.identity, gens, cap=cap + 1)
+        except OrderBudgetExceeded:
+            return None
+
     for t in pprime:
-        S = _tclosure([t], p, cap=cap + 1)
-        if S is not None and register(S) is not None:
-            queue.append(S)
+        S = closure([t])
+        if S is not None:
+            register(S, [t])
     qi = 0
-    while qi < len(queue):
-        S = queue[qi]
+    while qi < len(classes):
+        S, gens = classes[qi]
         qi += 1
-        gens = list(S)
+        members = set(S)
         for y in pprime:
-            if y in S:
+            if y in members:
                 continue
-            T = _tclosure(gens + [y], p, cap=cap + 1)
-            if T is None or len(T) % p == 0:
-                continue
-            if register(T) is not None:
-                queue.append(T)
-    return classes, len(seen_sets)
-
-
-def _subgroups_of_matrix_group(S, p, want_index):
-    """All subgroups of the matrix group S with the given index."""
-    target = len(S) // want_index
-    if len(S) % want_index:
-        return []
-    seen = set()
-    queue = []
-    ident = (1, 0, 0, 1)
-    base = frozenset([ident])
-    seen.add(base)
-    queue.append(base)
-    for t in S:
-        c = _tclosure([t], p)
-        if c not in seen:
-            seen.add(c)
-            queue.append(c)
-    elems = sorted(S)
-    qi = 0
-    while qi < len(queue):
-        H = queue[qi]
-        qi += 1
-        if len(H) >= target:
-            continue
-        for y in elems:
-            if y in H:
-                continue
-            T = _tclosure(sorted(H) + [y], p, cap=len(S) + 1)
-            if T is not None and T <= S and T not in seen:
-                seen.add(T)
-                queue.append(T)
-    return sorted((H for H in seen if len(H) == target), key=sorted)
+            T = closure(gens + [y])
+            if T is not None and len(T) % p:
+                register(T, gens + [y])
+    return [S for S, _ in classes], len(seen)
 
 
 def exhaustive_scan(p, n, max_subgroups=200000):
@@ -680,47 +591,55 @@ def exhaustive_scan(p, n, max_subgroups=200000):
 
     The report is conclusive (complete=True) unless the subgroup budget was
     exhausted, in which case BudgetExceeded carries the partial counts.
+    The matrix group is a multiplication table, so p is at most 7.
     """
     p, n = int(p), int(n)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if math.gcd(p, n) != 1:
         raise NotCoprime(f"{n} is not coprime to {p}")
-    gl = _gl2_elements(p)
-    glorder = len(gl)
-    cap = glorder
+    if p > _GL2_MAX_P:
+        raise OrderBudgetExceeded(
+            f"GL_2(F_{p}) has {(p * p - 1) * (p * p - p)} elements; "
+            f"its table is built for p <= {_GL2_MAX_P} only"
+        )
+    G, mats = _gl2_group(p)
+    cap = G.order
     while cap % p == 0:
         cap //= p
-    classes, subgroups_seen = _pprime_subgroup_classes_cached(p, gl, cap, max_subgroups)
+    # the enumeration is independent of the index n being scanned
+    key = (p, cap, max_subgroups)
+    if key not in _CLASS_CACHE:
+        classes, subgroups_seen = _pprime_subgroup_classes(G, p, cap, max_subgroups)
+        _CLASS_CACHE[key] = (classes, subgroups_seen, {})
+    classes, subgroups_seen, subgroups_of = _CLASS_CACHE[key]
+    tuples = [tuple(t) for t in mats.tolist()]
+    mats = mats.reshape(-1, 2, 2)
     hits = []
     lines = all_lines(p)
     for ci, S in enumerate(classes):
         if len(S) % n:
             continue
-        mats = sorted(S)
-        mats_arr = {t: _tuple_mat(t) for t in mats}
         # zero fixed space for the whole group, once per class
-        dim = fixed_space_dim(
-            np.stack([mats_arr[t] for t in mats]), range(len(mats)), p
-        )
-        if dim != 0:
+        if fixed_space_dim(mats, S, p) != 0:
             continue
-        is_cyc = any(_torder(t, p) == len(S) for t in S)
-        for H in _subgroups_of_matrix_group(S, p, n):
-            stable = [
-                L
-                for L in lines
-                if all(line_image(mats_arr[h], L, p) == L for h in H)
-            ]
+        if ci not in subgroups_of:
+            sub, elems = SubgroupHandle(G, S).as_group()
+            subgroups_of[ci] = [tuple(elems[x] for x in H.elements) for H in all_subgroups(sub)]
+        is_cyc = bool((G.element_orders[list(S)] == len(S)).any())
+        for H in subgroups_of[ci]:
+            if len(H) * n != len(S):
+                continue
+            stable = [L for L in lines if all(line_image(mats[h], L, p) == L for h in H)]
             for L in stable:
-                stab = [t for t in mats if line_image(mats_arr[t], L, p) == L]
-                if all(fixes_line_pointwise(mats_arr[t], L, p) for t in stab):
+                stab = [t for t in S if line_image(mats[t], L, p) == L]
+                if all(fixes_line_pointwise(mats[t], L, p) for t in stab):
                     hits.append(
                         ScanHit(
                             group_class=ci,
                             group_order=len(S),
-                            group_elements=tuple(mats),
-                            subgroup_elements=tuple(sorted(H)),
+                            group_elements=tuple(tuples[t] for t in S),
+                            subgroup_elements=tuple(tuples[h] for h in H),
                             line=L,
                             group_cyclic=is_cyc,
                         )

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from .catalog import a4_shape_spec, catalog_group, catalog_names
 from .cohomology import DEFAULT_COCHAIN_BUDGET, cohomology, h1_character_kernel, sha
-from .finab import FinAb
+from .finab import FinAb, _factorize
 from .groups import (
     all_subgroups,
     build_group,
     cyclic_subgroups,
     double_cosets,
+    is_prime,
     subgroup_closure,
     sylow_subgroup,
     trivial_subgroup,
@@ -103,24 +104,13 @@ def _prime_index_zeros(names, budget):
     for name in names:
         G = catalog_group(name)
         for H in all_subgroups(G):
-            if H.order == G.order or not _is_prime(H.index):
+            if H.order == G.order or not is_prime(H.index):
                 continue
             lat, _ = j_lattice(G, [(H, 1)])
             got = sha(G, lat, [], budget).structure
             assert got.is_trivial(), f"{name} index {H.index}"
             count += 1
     return f"{count} pairs"
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _family_oracle(budget):
@@ -172,12 +162,7 @@ def _degree_table():
 def _carter_fong():
     for p in (3, 5, 7, 11, 13):
         _, order = sylow2_gl2(p)
-        glorder = p * (p - 1) ** 2 * (p + 1)
-        expected = 1
-        while glorder % 2 == 0:
-            expected *= 2
-            glorder //= 2
-        assert order == expected, p
+        assert order == 2 ** _factorize(p * (p - 1) ** 2 * (p + 1))[2], p
     return "p in {3,5,7,11,13}"
 
 

@@ -25,7 +25,8 @@ from .errors import (
     PreconditionFailed,
     SearchBudgetExceeded,
 )
-from .finab import FinAb
+from .catalog import a4_shape_spec, beta_shape_spec, cyclic_spec
+from .finab import FinAb, _factorize
 from .groups import (
     SubgroupHandle,
     build_group,
@@ -40,14 +41,6 @@ from .groups import (
 )
 from .cohomology import DEFAULT_COCHAIN_BUDGET, close_dset, sha
 from .lattices import j_lattice, restrict
-
-
-def _ord_p(n, p):
-    k = 0
-    while n % p == 0:
-        k += 1
-        n //= p
-    return k
 
 
 def _validate_subgroup(G, H):
@@ -87,7 +80,7 @@ def sha_prime_index_family(G, pairs):
     for H in subs[1:]:
         inter &= set(H.elements)
     index = G.order // len(inter)
-    m = _ord_p(index, p)
+    m = _factorize(index).get(p, 0)
     if p**m != index:  # G/N embeds in (Z/p)^r, so this cannot fail
         raise HypothesisViolated("intersection index is not a power of the prime")
     r = len(subs)
@@ -154,7 +147,7 @@ def p_part_conditions(G, H, p):
     S = sylow_subgroup(G, p)
     sylow_normal = S.order > 1 and S.is_normal
     core_trivial = core(G, H).order == 1
-    ordp_one = _ord_p(H.index, p) == 1
+    ordp_one = _factorize(H.index).get(p, 0) == 1
     if not sylow_normal:
         raise HypothesisViolated("the p-Sylow subgroup is not normal (or is trivial)")
     if not core_trivial:
@@ -360,7 +353,12 @@ def p_vanishing_certificate(G, H, p):
     if p > 2 and index == 2 * p:
         return True
     S = sylow_subgroup(G, p)
-    if S.order > 1 and S.is_normal and _ord_p(index, p) == 1 and _ord_p(S.order, p) != 2:
+    if (
+        S.order > 1
+        and S.is_normal
+        and _factorize(index).get(p, 0) == 1
+        and _factorize(S.order)[p] != 2
+    ):
         return True
     return False
 
@@ -372,38 +370,6 @@ class Classification:
 
     def __str__(self):
         return self.kind if self.p is None else f"{self.kind}({self.p})"
-
-
-def _alpha_spec(p):
-    return {
-        "kind": "semidirect",
-        "p": p,
-        "m": 2,
-        "matrices": [[[0, -1], [1, -1]]],
-        "acting": {
-            "kind": "table",
-            "n": 3,
-            "mul": [[(i + j) % 3 for j in range(3)] for i in range(3)],
-            "label": "Z3",
-        },
-        "label": f"(Z/{p})^2:Z3",
-    }
-
-
-def _beta_spec(p):
-    return {
-        "kind": "semidirect",
-        "p": p,
-        "m": 2,
-        "matrices": [[[-1, -1], [1, 0]], [[0, 1], [1, 0]]],
-        "acting": {
-            "kind": "permutations",
-            "degree": 3,
-            "generators": ["(1 2 3)", "(1 2)"],
-            "label": "S3",
-        },
-        "label": f"(Z/{p})^2:S3",
-    }
 
 
 def _find_isomorphism(ref, G):
@@ -483,16 +449,7 @@ def classify_two_prime_index(G, H):
     """
     _validate_subgroup(G, H)
     index = H.index
-    fac = {}
-    x = index
-    d = 2
-    while d * d <= x:
-        while x % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            x //= d
-        d += 1
-    if x > 1:
-        fac[x] = fac.get(x, 0) + 1
+    fac = _factorize(index)
     if sorted(fac.values()) != [1, 1]:
         raise HypothesisViolated(f"index {index} is not a product of two distinct primes")
     if core(G, H).order != 1:
@@ -514,13 +471,13 @@ def classify_two_prime_index(G, H):
             if G.order > 200:
                 raise HypothesisViolated("isomorphism search is bounded to order 200")
             if _matches_pattern(
-                G, H, _alpha_spec(p), lambda ref: subgroup_closure(ref, [1])
+                G, H, a4_shape_spec(p), lambda ref: subgroup_closure(ref, [1])
             ):
                 return Classification("alpha", p)
             if p >= 5 and _matches_pattern(
                 G,
                 H,
-                _beta_spec(p),
+                beta_shape_spec(p),
                 # the marked subgroup: diagonal line in the plane, joined
                 # with the transposition generator of the acting group
                 lambda ref: subgroup_closure(ref, [1 + p, ref.gens[3]]),
@@ -549,18 +506,16 @@ def composite_sha_witness(p, variant, ell=None):
     if not is_prime(p) or p == 3:
         raise PreconditionFailed("p must be a prime different from 3")
     if variant == "i":
-        z3 = {
-            "kind": "table",
-            "n": 3,
-            "mul": [[(i + j) % 3 for j in range(3)] for i in range(3)],
-            "label": "Z3",
-        }
         spec = {
             "kind": "semidirect",
             "p": p,
             "m": 2,
             "matrices": [_PLANE_ROTATION, [[1, 0], [0, 1]]],
-            "acting": {"kind": "product", "factors": [z3, dict(z3)], "label": "Z3xZ3"},
+            "acting": {
+                "kind": "product",
+                "factors": [cyclic_spec(3), cyclic_spec(3)],
+                "label": "Z3xZ3",
+            },
             "label": f"W{9 * p * p}",
         }
         G = build_group(spec, order_budget=4096)
@@ -578,12 +533,7 @@ def composite_sha_witness(p, variant, ell=None):
             "p": ell,
             "m": 2,
             "matrices": [_PLANE_ROTATION],
-            "acting": {
-                "kind": "table",
-                "n": 3,
-                "mul": [[(i + j) % 3 for j in range(3)] for i in range(3)],
-                "label": "Z3",
-            },
+            "acting": cyclic_spec(3),
             "label": f"F{ell}^2:Z3",
         }
         spec = {

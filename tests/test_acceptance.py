@@ -5,6 +5,8 @@ import itertools
 import math
 import time
 
+import numpy as np
+
 from normone.catalog import (
     a4_shape_spec,
     abelian_spec,
@@ -32,9 +34,6 @@ from normone.reps import (
     s_min,
     sylow2_gl2,
     witness_rep,
-    _mat_tuple,
-    _tinv,
-    _tmul,
 )
 from normone.structure import (
     _p_restriction_check,
@@ -54,6 +53,10 @@ def _stamp(k, label, t0, limit):
 
 def _is_prime(n):
     return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def _key(M):
+    return tuple(int(x) for x in M.ravel())
 
 
 def test_criterion_01_bicyclic_kernels():
@@ -218,22 +221,24 @@ def test_criterion_09_carter_fong():
         assert order == expected, p
     for p in (3, 7, 11):
         gens, _ = sylow2_gl2(p)
-        X, Y = (_mat_tuple(g) for g in gens)
+        X, Y = gens
         s = 0
         q = p + 1
         while q % 2 == 0:
             s += 1
             q //= 2
-        acc = (1, 0, 0, 1)
+        acc = np.eye(2, dtype=np.int64)
         for _ in range(2**s):
-            acc = _tmul(acc, X, p)
-        assert acc == ((p - 1) % p, 0, 0, (p - 1) % p)
-        assert _tmul(Y, Y, p) == (1, 0, 0, 1)
-        lhs = _tmul(_tmul(Y, X, p), _tinv(Y, p), p)
-        rhs = (1, 0, 0, 1)
+            acc = acc @ X % p
+        assert _key(acc) == ((p - 1) % p, 0, 0, (p - 1) % p)
+        assert _key(Y @ Y % p) == (1, 0, 0, 1)
+        det = int(Y[0, 0] * Y[1, 1] - Y[0, 1] * Y[1, 0]) % p
+        y_inv = np.array([[Y[1, 1], -Y[0, 1]], [-Y[1, 0], Y[0, 0]]]) * pow(det, p - 2, p) % p
+        lhs = Y @ X % p @ y_inv % p
+        rhs = np.eye(2, dtype=np.int64)
         for _ in range(2**s - 1):
-            rhs = _tmul(rhs, X, p)
-        assert lhs == rhs
+            rhs = rhs @ X % p
+        assert _key(lhs) == _key(rhs)
     _stamp(9, "2-Sylow generators of the matrix group", t0, 10)
 
 

@@ -16,6 +16,7 @@ from normone.errors import (
 )
 from normone.finab import FinAb
 from normone.groups import (
+    FiniteGroup,
     abelianization,
     all_subgroups,
     build_group,
@@ -93,6 +94,9 @@ def test_order_budget():
 def test_bad_table_rejected():
     with pytest.raises(SpecInvalid):
         build_group({"kind": "table", "n": 2, "mul": [[0, 1], [1, 1]]})
+    # the associativity test needs generators that generate
+    with pytest.raises(SpecInvalid, match="do not generate"):
+        FiniteGroup([[0, 1], [1, 0]], identity=0, gens=[])
     # non-associative magma with a two-sided identity
     with pytest.raises(SpecInvalid):
         build_group(
@@ -108,6 +112,18 @@ def test_bad_table_rejected():
                 ],
             }
         )
+
+
+def test_non_associative_loop_table_rejected():
+    # Z/512 with one intercalate swapped: still a Latin square with a two-sided
+    # identity and unique inverses, but (1 1) 2 = 2 2 = 260 and 1 (1 2) = 4;
+    # only 8128 of the 512^3 triples fail
+    n, h = 512, 256
+    mul = [[(i + j) % n for j in range(n)] for i in range(n)]
+    for i, j in ((2, 2), (2, 2 + h), (2 + h, 2), (2 + h, 2 + h)):
+        mul[i][j] = (mul[i][j] + h) % n
+    with pytest.raises(SpecInvalid, match="not associative"):
+        build_group({"kind": "table", "n": n, "mul": mul})
 
 
 def test_non_homomorphic_semidirect_matrices():
@@ -167,6 +183,16 @@ def test_sylow_examples():
     assert t.elements == min(
         tuple(sorted(s3().conj(g, x) for x in t.elements)) for g in s3().elements()
     )
+
+
+def test_canonical_conjugate_matches_loop_definition():
+    for name in catalog_names():
+        G = catalog_group(name)
+        for H in all_subgroups(G):
+            least = min(
+                tuple(sorted(G.conj(g, x) for x in H.elements)) for g in G.elements()
+            )
+            assert H.canonical_conjugate().elements == least, (name, H.elements)
 
 
 def test_core_examples():

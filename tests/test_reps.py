@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -18,12 +19,31 @@ from normone.reps import (
     s_min,
     sylow2_gl2,
     witness_rep,
-    _mat_tuple,
-    _tinv,
-    _tmul,
-    _torder,
+    _gl2_group,
 )
 from normone.structure import p_part_conditions
+
+
+def _mat(t):
+    return np.array(t, dtype=np.int64).reshape(2, 2)
+
+
+def _key(M):
+    return tuple(int(x) for x in M.ravel())
+
+
+def _inv(M, p):
+    det = int(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]) % p
+    adj = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]], dtype=np.int64)
+    return adj * pow(det, p - 2, p) % p
+
+
+def _order(M, p):
+    k, acc = 1, M % p
+    while _key(acc) != (1, 0, 0, 1):
+        acc = acc @ M % p
+        k += 1
+    return k
 
 
 # -- quadratic extension ---------------------------------------------------------
@@ -121,7 +141,7 @@ def test_reps_of_cyclic_are_pairwise_distinct():
     keys = set()
     for r in reps:
         M = r.matrix(1) if r.group.order > 1 else np.eye(2, dtype=np.int64)
-        key = (int(np.trace(M)) % 5, int(round(np.linalg.det(M))) % 5, _torder(_mat_tuple(M), 5))
+        key = (int(np.trace(M)) % 5, int(round(np.linalg.det(M))) % 5, _order(M, 5))
         keys.add(key)
     assert len(keys) == len(reps)
 
@@ -155,9 +175,11 @@ def test_witness_rep_matches_membership():
 
 def test_check_bc_negative_case():
     # the trivial-plus-nontrivial character pair has a fixed vector
-    from normone.reps import _rep_from_generator_matrix, cyclic_group
+    from normone.catalog import cyclic_spec
+    from normone.groups import build_group
+    from normone.reps import _rep_from_generator_matrix
 
-    G = cyclic_group(4)
+    G = build_group(cyclic_spec(4))
     M = np.diag([1, 2]).astype(np.int64)  # first coordinate fixed
     rep = _rep_from_generator_matrix(G, M, 5, line=(1, 0))
     b, c = check_bc(rep)
@@ -195,22 +217,22 @@ def test_sylow2_gl2_order_formula(p):
 @pytest.mark.parametrize("p", [3, 7, 11, 19, 23])
 def test_sylow2_gl2_relations_3mod4(p):
     gens, _ = sylow2_gl2(p)
-    X, Y = (_mat_tuple(g) for g in gens)
+    X, Y = gens
     s = 0
     q = p + 1
     while q % 2 == 0:
         s += 1
         q //= 2
-    acc = (1, 0, 0, 1)
+    acc = np.eye(2, dtype=np.int64)
     for _ in range(2**s):
-        acc = _tmul(acc, X, p)
-    assert acc == ((p - 1) % p, 0, 0, (p - 1) % p)
-    assert _tmul(Y, Y, p) == (1, 0, 0, 1)
-    lhs = _tmul(_tmul(Y, X, p), _tinv(Y, p), p)
-    rhs = (1, 0, 0, 1)
+        acc = acc @ X % p
+    assert _key(acc) == ((p - 1) % p, 0, 0, (p - 1) % p)
+    assert _key(Y @ Y % p) == (1, 0, 0, 1)
+    lhs = Y @ X % p @ _inv(Y, p) % p
+    rhs = np.eye(2, dtype=np.int64)
     for _ in range(2**s - 1):
-        rhs = _tmul(rhs, X, p)
-    assert lhs == rhs
+        rhs = rhs @ X % p
+    assert _key(lhs) == _key(rhs)
 
 
 # -- scans -------------------------------------------------------------------------
@@ -231,6 +253,33 @@ def test_scan_p5_index_one_empty():
     assert len(exhaustive_scan(5, 1).hits) == 0
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_gl2_table_is_matrix_product(p):
+    G, mats = _gl2_group(p)
+    invertible = [
+        t for t in itertools.product(range(p), repeat=4) if (t[0] * t[3] - t[1] * t[2]) % p
+    ]
+    assert [tuple(t) for t in mats.tolist()] == invertible  # lexicographic order
+    A = mats.reshape(-1, 2, 2)
+    assert (np.einsum("iab,jbc->ijac", A, A) % p == A[G.mul]).all()
+    assert _key(A[G.identity]) == (1, 0, 0, 1)
+
+
+def test_scan_counts_pinned():
+    for p, classes, seen in ((3, 9, 31), (5, 30, 291)):
+        report = exhaustive_scan(p, 2)
+        assert (report.group_classes, report.subgroups_seen) == (classes, seen)
+    hits = {n: len(exhaustive_scan(5, n).hits) for n in (2, 3, 4, 6, 8, 12)}
+    assert hits == {2: 0, 3: 9, 4: 4, 6: 3, 8: 0, 12: 0}
+
+
+def test_scan_refuses_primes_beyond_the_table():
+    from normone.errors import OrderBudgetExceeded
+
+    with pytest.raises(OrderBudgetExceeded):
+        exhaustive_scan(11, 2)
+
+
 def test_scan_budget_exceeded():
     # the enumeration cache keys on the budget, so this cannot be satisfied
     # by a previous full run
@@ -247,12 +296,12 @@ def test_scan_hits_have_trivial_core_action():
     for (p, n) in ((2, 3), (3, 2)):
         report = exhaustive_scan(p, n)
         for hit in report.hits:
-            S = list(hit.group_elements)
+            S = [_mat(t) for t in hit.group_elements]
             H = set(hit.subgroup_elements)
             core = set(H)
             for g in S:
-                gi = _tinv(g, p)
-                core &= {_tmul(_tmul(g, h, p), gi, p) for h in H}
+                gi = _inv(g, p)
+                core &= {_key(g @ _mat(h) % p @ gi % p) for h in H}
             assert core == {(1, 0, 0, 1)}
 
 
