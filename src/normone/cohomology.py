@@ -1,17 +1,21 @@
-"""Brute-force integer group cohomology via the normalized bar complex.
+"""Brute-force integer group cohomology on the Cayley-graph presentation complex.
 
-Degrees 0, 1, 2 only.  Normalized cochains vanish whenever an argument is
-the identity, which shrinks every matrix by a factor ((n-1)/n)^degree with
-the same cohomology.  H^1 and H^2 are read off as the torsion of the
-cokernels of the coboundary maps d^0 and d^1:
-
-    a cochain class is torsion in C^j/im(d^{j-1}) iff some multiple is a
-    coboundary, and a multiple of a coboundary is a cocycle, so the torsion
-    subgroup of the cokernel is exactly Z^j/B^j (and |G| annihilates it).
+Degrees 0, 1, 2 only.  A breadth-first spanning tree of the Cayley graph of
+G on its generators s_1..s_k gives a presentation with one relator
+w(g) s_i w(g s_i)^{-1} per non-tree edge (g, i), w(g) being the tree word of
+g (Brown, *Cohomology of Groups*, ch. II-IV).  So C^1 = M^k, C^2 = M^R with
+R = nk - n + 1, d^0 m = (s_i m - m)_i, and by Fox calculus
+(d^1 f)(g, i) = P_g f + g f_i - P_{g s_i} f, where P_1 = 0 and
+P_{g s_i} = P_g + g [block i] along tree edges.  H^j is the torsion of
+coker(d^{j-1}): Z^j is saturated and Z^j/B^j is finite, so no d^2 is needed.
 
 Explicit generating cocycles come out of the Smith transform: if
 U A V = D, the columns (A V e_i)/d_i are integral cocycles whose classes
-have exactly the orders d_i and generate the torsion.
+have exactly the orders d_i and generate the torsion.  They are reported as
+normalized bar cochains; in degree 2, c(g, h) sums the relator values over
+the non-tree edges crossed by the walk of w(h) from g.  Back from a bar
+2-cochain, relator (g, i) takes Phi(w(g) s_i) - Phi(w(g s_i)), where
+Phi(x_1...x_m) = sum_l c(x_1...x_l, x_{l+1}).
 """
 
 from __future__ import annotations
@@ -27,12 +31,14 @@ from . import intmat
 DEFAULT_COCHAIN_BUDGET = 200_000
 
 
-def _nonid(G):
-    return [g for g in G.elements() if g != G.identity]
+def _maxabs(a):
+    return int(np.abs(a).max()) if a.size else 0
 
 
 def _check_budget(G, rank, degree, budget):
-    cols = max(G.order - 1, 1) ** degree * max(rank, 1)
+    n, k = G.order, len(G.gens)
+    cells = (1, k, n * k - n + 1)[degree]
+    cols = max(cells, 1) * max(rank, 1)
     if cols > budget:
         raise BudgetExceeded(
             f"cochain space of dimension {cols} exceeds budget {budget}",
@@ -40,93 +46,91 @@ def _check_budget(G, rank, degree, budget):
         )
 
 
-def coboundary0_matrix(M):
-    """d^0: M -> C^1, m |-> (g.m - m)_g, stacked over non-identity g."""
-    G, r = M.group, M.rank
-    nonid = _nonid(G)
-    eye = np.eye(r, dtype=np.int64)
-    return np.vstack([M.act[g] - eye for g in nonid]) if nonid else np.zeros((0, r), dtype=np.int64)
+class _Presentation:
+    """A breadth-first spanning tree of the Cayley graph of G on G.gens.
 
-
-def apply_coboundary1(M, x):
-    """d^1 on a 1-cochain given as an (n-1, r) array (identity row omitted).
-
-    (d^1 f)(g, h) = g.f(h) - f(gh) + f(g), returned as (n-1, n-1, r).
+    `tree` lists the edges (g, i, g s_i) that first reach a vertex, in
+    breadth-first order from the identity; `rel_g`, `rel_i` index the other
+    edges, one relator each, in (g, i) order.
     """
-    G, r = M.group, M.rank
-    nonid = _nonid(G)
-    k = len(nonid)
-    xfull = np.zeros((G.order, r), dtype=x.dtype)
-    xfull[nonid] = x
-    acts = M.act[nonid]  # (k, r, r)
-    out = np.einsum("gij,hj->ghi", acts, x)
-    prod = G.mul[np.ix_(nonid, nonid)]
-    out -= xfull[prod]
-    out += x[:, None, :]
-    return out
+
+    def __init__(self, G):
+        self.group = G
+        self.gens = np.array(G.gens, dtype=np.int64)
+        self.k = len(G.gens)
+        on_tree = np.zeros((G.order, self.k), dtype=bool)
+        self.tree = []
+        queue, seen = [G.identity], {G.identity}
+        for g in queue:
+            for i, s in enumerate(G.gens):
+                h = int(G.mul[g, s])
+                if h not in seen:
+                    seen.add(h)
+                    queue.append(h)
+                    on_tree[g, i] = True
+                    self.tree.append((g, i, h))
+        self.rel_g, self.rel_i = np.nonzero(~on_tree)
+
+    def coboundary1(self, M):
+        """Dense d^1 as an (R r, k r) int64 matrix."""
+        G, r, k = self.group, M.rank, self.k
+        P = np.zeros((G.order, r, k * r), dtype=np.int64)
+        for g, i, h in self.tree:
+            P[h] = P[g]
+            P[h, :, i * r:(i + 1) * r] += M.act[g]
+        rg, ri = self.rel_g, self.rel_i
+        d1 = P[rg] - P[G.mul[rg, self.gens[ri]]]
+        for i in range(k):
+            sel = ri == i
+            d1[sel, :, i * r:(i + 1) * r] += M.act[rg[sel]]
+        return d1.reshape(-1, k * r)
+
+    def bar_table(self, z):
+        """The bar 2-cochain of relator values z, shape (R, r) -> (n, n, r)."""
+        G = self.group
+        if _maxabs(z) * G.order < 2**31:  # a walk crosses < n edges; the
+            z = z.astype(np.int64)  # cocycle check's g.c(s, h) stays in int64
+        edge = np.zeros((G.order, self.k) + z.shape[1:], dtype=z.dtype)
+        edge[self.rel_g, self.rel_i] = z
+        c = np.zeros((G.order, G.order) + z.shape[1:], dtype=z.dtype)
+        for g, i, h in self.tree:
+            c[:, h] = c[:, g] + edge[G.mul[:, g], i]
+        return c
+
+    def relator_values(self, c):
+        """Relator values Phi(w(g) s_i) - Phi(w(g s_i)) of a bar 2-cochain."""
+        G = self.group
+        U = np.zeros((G.order,) + c.shape[2:], dtype=c.dtype)  # U(g) = Phi(w(g))
+        for g, i, h in self.tree:
+            U[h] = U[g] + c[g, self.gens[i]]
+        rg, rs = self.rel_g, self.gens[self.rel_i]
+        return U[rg] + c[rg, rs] - U[G.mul[rg, rs]]
 
 
-def coboundary1_rows(M, g, pos):
-    """Dense d^1 rows for all pairs (g, h), h non-identity: ((n-1)*r, (n-1)*r).
-
-    `pos` maps element index -> position among non-identity elements.
-    """
-    G, r = M.group, M.rank
-    nonid = _nonid(G)
-    k = len(nonid)
-    rows = np.zeros((k * r, k * r), dtype=np.int64)
-    gact = M.act[g]
-    gi = pos[g]
-    eye = np.eye(r, dtype=np.int64)
-    for hi, h in enumerate(nonid):
-        blk = slice(hi * r, (hi + 1) * r)
-        rows[blk, hi * r : (hi + 1) * r] += gact
-        gh = int(G.mul[g, h])
-        if gh != G.identity:
-            ghi = pos[gh]
-            rows[blk, ghi * r : (ghi + 1) * r] -= eye
-        rows[blk, gi * r : (gi + 1) * r] += eye
-    return rows
-
-
-def coboundary1_matrix(M):
-    """Dense d^1: C^1 -> C^2 as ((n-1)^2 r, (n-1) r); small groups only."""
-    G, r = M.group, M.rank
-    nonid = _nonid(G)
-    pos = {g: i for i, g in enumerate(nonid)}
-    if not nonid:
-        return np.zeros((0, 0), dtype=np.int64)
-    return np.vstack([coboundary1_rows(M, g, pos) for g in nonid])
+def _bar_coboundary(M, b):
+    """(d b)(g, h) = g.b(h) - b(gh) + b(g) for a bar 1-cochain b of shape (n, r)."""
+    gb = np.matmul(M.act, b.T).transpose(0, 2, 1)  # [g, h] = g.b(h)
+    return gb - b[M.group.mul] + b[:, None, :]
 
 
 def cocycle2_defect(M, c):
-    """Max |d^2 c| over all triples; 0 iff c is a 2-cocycle.
+    """0 iff c is a normalized 2-cocycle; otherwise a positive defect.
 
-    c has shape (n, n, r) with identity rows/columns zero.
+    c has shape (n, n, r).  After the normalization check c(e, .) =
+    c(., e) = 0 this is Light's test on the extension M x_c G:
+    d c(g, s, h) = g.c(s, h) - c(gs, h) + c(g, sh) - c(g, s) for each
+    generator s and all g, h.  Exact: the middle elements that pass are
+    closed under products, and the elements of M and the generators of G
+    pass and generate the extension.
     """
     G = M.group
-    gc = np.einsum("gij,hkj->ghki", M.act, c)  # g.c(h,k)
-    t1 = c[G.mul]  # [g,h,k,:] = c(gh, k)
-    t2 = c[:, G.mul]  # [g,h,k,:] = c(g, hk)
-    defect = gc - t1 + t2 - c[:, :, None, :]
-    return int(np.abs(defect).max()) if defect.size else 0
-
-
-def embed_cochain2(G, arr):
-    """Lift an (n-1, n-1, r) normalized table to (n, n, r) with identity zeros."""
-    nonid = _nonid(G)
-    n = G.order
-    r = arr.shape[-1]
-    out = np.zeros((n, n, r), dtype=arr.dtype)
-    out[np.ix_(nonid, nonid)] = arr
-    return out
-
-
-def embed_cochain1(G, arr):
-    nonid = _nonid(G)
-    out = np.zeros((G.order, arr.shape[-1]), dtype=arr.dtype)
-    out[nonid] = arr
-    return out
+    c = np.asarray(c)
+    defect = max(_maxabs(c[G.identity]), _maxabs(c[:, G.identity]))
+    for s in G.gens:
+        gc = np.matmul(M.act, c[s].T).transpose(0, 2, 1)  # [g, h] = g.c(s, h)
+        d = gc - c[G.mul[:, s]] + c[:, G.mul[s]] - c[:, s][:, None, :]
+        defect = max(defect, _maxabs(d))
+    return defect
 
 
 class CohomologyGroup:
@@ -134,7 +138,8 @@ class CohomologyGroup:
 
     Degree 0 carries the free rank and a basis of the fixed sublattice;
     degrees 1 and 2 carry a FinAb structure together with one generating
-    cocycle per invariant factor (generators[i] has order structure[i]).
+    cocycle per invariant factor (generators[i] has order structure[i]),
+    as a normalized bar cochain: shape (n, r) in degree 1, (n, n, r) in 2.
     """
 
     __slots__ = ("degree", "group", "lattice", "structure", "free_rank", "generators")
@@ -162,18 +167,13 @@ def fixed_sublattice(M):
     return intmat.kernel_basis(stacked)
 
 
-def _torsion_with_generators(A_rowstream, ncols, apply_op):
-    """Torsion of the cokernel of an operator fed as row chunks.
+def _torsion_with_generators(A, image):
+    """Torsion of coker(A) with one generating cochain per invariant factor.
 
-    A_rowstream yields row chunks of the matrix A; apply_op(vec) computes
-    A @ vec exactly (object ints welcome).  Returns (orders, vectors) where
-    vectors[i] = (A V e_i)/orders[i] lives in the codomain.
+    image @ w is the cochain that A w represents (A itself, or all of its
+    values).  Returns (orders, vectors), vectors[i] = image V e_i / orders[i].
     """
-    reducer = intmat.RowEchelon(ncols)
-    for chunk in A_rowstream:
-        if chunk.size:
-            reducer.add_rows(chunk)
-    R = reducer.matrix()
+    R = intmat.row_lattice_basis(A)
     if R.shape[0] == 0:
         return [], []
     diag, _, V, _ = intmat.smith(R, want_v=True)
@@ -182,7 +182,9 @@ def _torsion_with_generators(A_rowstream, ncols, apply_op):
         if d <= 1:
             continue
         w = V[:, i]
-        img = np.array(apply_op(w), dtype=object)
+        if _maxabs(image) * sum(abs(int(x)) for x in w) < 2**62:
+            w = w.astype(np.int64)  # no partial sum can overflow
+        img = np.array(image @ w, dtype=object)
         q = img // d
         if np.any(img - q * d):  # impossible if the reduction is sound
             raise ArithmeticError("generator extraction produced a non-integral vector")
@@ -192,15 +194,13 @@ def _torsion_with_generators(A_rowstream, ncols, apply_op):
 
 
 def cohomology(G, M, degree, budget=DEFAULT_COCHAIN_BUDGET):
-    """H^degree(G, M) by the normalized bar complex, exactly over Z."""
+    """H^degree(G, M) on the Cayley-graph presentation complex, exactly over Z."""
     if M.group is not G:
         raise GroupMismatch("lattice is not defined over the given group")
     if degree not in (0, 1, 2):
         raise ValueError("only degrees 0, 1, 2 are supported")
     _check_budget(G, M.rank, degree, budget)
     r = M.rank
-    nonid = _nonid(G)
-    k = len(nonid)
 
     if degree == 0:
         basis = fixed_sublattice(M)
@@ -209,31 +209,23 @@ def cohomology(G, M, degree, budget=DEFAULT_COCHAIN_BUDGET):
             generators=[basis[:, i] for i in range(basis.shape[1])],
         )
 
-    if r == 0 or k == 0:
+    if r == 0 or G.order == 1:
         return CohomologyGroup(degree, G, M, structure=FinAb.trivial())
 
     if degree == 1:
-        A = coboundary0_matrix(M)
-        orders, vecs = _torsion_with_generators(
-            iter([A]), r, lambda w: np.array(A, dtype=object) @ w
-        )
-        gens = [embed_cochain1(G, v.reshape(k, r)) for v in vecs]
+        eye = np.eye(r, dtype=np.int64)
+        d0 = np.vstack([M.act[s] - eye for s in G.gens])
+        # the crossed homomorphism g |-> (g - 1) w / d extends (d^0 w) / d
+        orders, vecs = _torsion_with_generators(d0, (M.act - eye).reshape(-1, r))
+        gens = [v.reshape(G.order, r) for v in vecs]
         return CohomologyGroup(1, G, M, structure=FinAb(tuple(orders)), generators=gens)
 
-    pos = {g: i for i, g in enumerate(nonid)}
-
-    def rowstream():
-        for g in nonid:
-            yield coboundary1_rows(M, g, pos)
-
-    def apply_op(w):
-        x = np.array(w, dtype=object).reshape(k, r)
-        return apply_coboundary1(M, x).reshape(-1)
-
-    orders, vecs = _torsion_with_generators(rowstream(), k * r, apply_op)
+    pres = _Presentation(G)
+    d1 = pres.coboundary1(M)
+    orders, vecs = _torsion_with_generators(d1, d1)
     gens = []
     for v in vecs:
-        c = embed_cochain2(G, v.reshape(k, k, r))
+        c = pres.bar_table(v.reshape(-1, r))
         if cocycle2_defect(M, c):
             raise ArithmeticError("extracted generator is not a cocycle")
         gens.append(c)
@@ -241,9 +233,9 @@ def cohomology(G, M, degree, budget=DEFAULT_COCHAIN_BUDGET):
 
 
 def restriction_class(c, D):
-    """Restrict a degree-2 cocycle table over G to D-local indexing.
+    """Restrict a degree-2 bar cocycle table over G to D-local indexing.
 
-    On the bar complex the restriction map is literal function restriction.
+    On bar cochains the restriction map is literal function restriction.
     """
     elems = np.array(D.elements, dtype=np.int64)
     return np.array(c, dtype=object)[np.ix_(elems, elems)]
@@ -252,27 +244,33 @@ def restriction_class(c, D):
 def is_coboundary(D, M, c):
     """Decide whether a 2-cocycle over D bounds; return (flag, witness).
 
-    `c` uses D-local element indexing, shape (|D|, |D|, rank); `M` is the
-    ambient G-lattice (it is restricted internally).  The witness is a
-    normalized 1-cochain b with d^1 b = c, in D-local indexing.
+    `c` is a bar table in D-local element indexing, shape (|D|, |D|, rank);
+    `M` is the ambient G-lattice (it is restricted internally).  The
+    relator values of c are solved against d^1 of D's presentation complex,
+    and the witness, a normalized bar 1-cochain b with d b = c in D-local
+    indexing, is rebuilt along the spanning tree by
+    b(g s) = g.b(s) + b(g) - c(g, s) and checked exactly.
     """
     RM = restrict(M, D) if M.group is D.parent else M
-    sub = RM.group
-    r = RM.rank
-    nonid = _nonid(sub)
-    k = len(nonid)
+    sub, r = RM.group, RM.rank
     c = np.asarray(c)
     if c.shape != (sub.order, sub.order, r):
         raise ValueError("cocycle table has wrong shape")
-    if k == 0 or r == 0:
+    if sub.order == 1 or r == 0:
         ok = not np.any(c)
         return ok, (np.zeros((sub.order, r), dtype=object) if ok else None)
-    A = coboundary1_matrix(RM)
-    rhs = np.array(c, dtype=object)[np.ix_(nonid, nonid)].reshape(-1)
-    x = intmat.solve(A, rhs)
-    if x is None:
+    c = np.array(c, dtype=object)
+    pres = _Presentation(sub)
+    f = intmat.solve(pres.coboundary1(RM), pres.relator_values(c).reshape(-1))
+    if f is None:
         return False, None
-    return True, embed_cochain1(sub, x.reshape(k, r))
+    f = f.reshape(pres.k, r)
+    b = np.zeros((sub.order, r), dtype=object)
+    for g, i, h in pres.tree:
+        b[h] = RM.act[g] @ f[i] + b[g] - c[g, pres.gens[i]]
+    if np.any(_bar_coboundary(RM, b) != c):  # c is not even a cocycle
+        return False, None
+    return True, b
 
 
 def tate_cyclic(D, M, j):
@@ -357,19 +355,9 @@ def _effective_dset(G, closed):
     members = sorted(canon.values(), key=lambda h: (-h.order, h.elements))
     kept = []
     for h in members:
-        if any(k.contains_subgroup(h) for k in kept):
-            continue
-        # also drop if contained in a conjugate of a kept member
-        absorbed = False
-        for k in kept:
-            if h.order <= k.order:
-                for g in G.elements():
-                    if k.conjugate(g).contains_subgroup(h):
-                        absorbed = True
-                        break
-            if absorbed:
-                break
-        if not absorbed:
+        # drop h if a conjugate of it lies in a kept member
+        conjugates = G.mul[G.mul[:, h.elements], G.inv[:, None]]  # row g: g h g^-1
+        if not any(np.isin(conjugates, k.elements).all(axis=1).any() for k in kept):
             kept.append(h)
     return kept
 
@@ -397,18 +385,14 @@ def sha(G, M, dset, budget=DEFAULT_COCHAIN_BUDGET):
             continue
         else:
             RM = restrict(M, D)
-            sub = RM.group
-            nonid = _nonid(sub)
-            kd = len(nonid)
-            if kd == 0 or RM.rank == 0:
-                continue
-            A = coboundary1_matrix(RM)
-            cols = []
-            for c in base.generators:
-                local = np.array(c, dtype=object)[np.ix_(D.elements, D.elements)]
-                cols.append(local[np.ix_(nonid, nonid)].reshape(-1))
-            C = np.stack(cols, axis=1)
-            combined = np.hstack([C, A.astype(object)])
+            # D's own presentation complex: the relator values of the
+            # restricted generators against D's d^1
+            pres = _Presentation(RM.group)
+            C = np.stack(
+                [pres.relator_values(restriction_class(c, D)).reshape(-1) for c in base.generators],
+                axis=1,
+            )
+            combined = np.hstack([C, pres.coboundary1(RM).astype(object)])
             K = intmat.kernel_basis(combined)
             cond = intmat.column_lattice_basis(K[:kcount, :])
         lattice = intmat.lattice_intersect(lattice, cond)
@@ -430,7 +414,7 @@ def h1_character_kernel(G, pairs):
 
     It is the kernel of restriction from the character group of G to the
     direct sum of the character groups of the H_i (multiplicities are
-    irrelevant).  Must agree with the bar-complex H^1 on the same family.
+    irrelevant).  Must agree with `cohomology(G, M, 1)` on the same family.
     """
     pairs = list(pairs)
     if not pairs:

@@ -118,9 +118,6 @@ class FiniteGroup:
             current = set(closure_elements(self.mul, self.identity, gens))
         return gens
 
-    def op(self, a, b):
-        return int(self.mul[a, b])
-
     def conj(self, g, x):
         """g x g^{-1}"""
         return int(self.mul[self.mul[g, x], self.inv[g]])
@@ -239,9 +236,8 @@ class SubgroupHandle:
     def is_normal(self):
         if "normal" not in self._cache:
             G = self.parent
-            self._cache["normal"] = all(
-                G.conj(g, x) in self._set for g in G.elements() for x in self.elements
-            )
+            conjugates = G.mul[G.mul[:, self.elements], G.inv[:, None]]  # row g: g H g^-1
+            self._cache["normal"] = bool(np.isin(conjugates, self.elements).all())
         return self._cache["normal"]
 
     @property
@@ -501,28 +497,30 @@ def all_subgroups(G, max_count=100000):
     """Every subgroup of G, by saturating cyclic subgroups under joins.
 
     Exhaustive (any subgroup is reachable by adjoining one generator at a
-    time); intended for the small catalog orders.
+    time); intended for the small catalog orders.  Each queued subgroup
+    keeps the generators it was reached by, and a join closes over those
+    plus the adjoined element.
     """
     seen = {}
     queue = []
     for h in cyclic_subgroups(G):
-        if h.elements not in seen:
-            seen[h.elements] = h
-            queue.append(h)
+        gen = next(x for x in h.elements if G.element_order(x) == h.order)
+        seen[h.elements] = h
+        queue.append((h, [gen]))
     qi = 0
     while qi < len(queue):
-        h = queue[qi]
+        h, gens = queue[qi]
         qi += 1
         for x in G.elements():
             if h.contains(x):
                 continue
-            elems = closure_elements(G.mul, G.identity, list(h.elements) + [x])
+            elems = closure_elements(G.mul, G.identity, gens + [x])
             if elems not in seen:
                 if len(seen) >= max_count:
                     raise SearchBudgetExceeded("subgroup enumeration budget")
                 nh = SubgroupHandle(G, elems)
                 seen[elems] = nh
-                queue.append(nh)
+                queue.append((nh, gens + [x]))
     return sorted(seen.values(), key=lambda h: (h.order, h.elements))
 
 
@@ -720,19 +718,16 @@ def semidirect_from_action(p, m, acting, action, label="", order_budget=DEFAULT_
         raise OrderBudgetExceeded(
             f"semidirect order {pm * acting.order} exceeds budget {order_budget}"
         )
-    vecs = [index_vector(i, p, m) for i in range(pm)]
+    vecs = np.array([index_vector(i, p, m) for i in range(pm)]).reshape(pm, m)
+    weights = p ** np.arange(m)
     nq = acting.order
     n = pm * nq
-    mul = np.zeros((n, n), dtype=np.int64)
+    mul = np.empty((nq, pm, nq, pm), dtype=np.int64)  # [q1, v1, q2, v2]
     for q1 in range(nq):
         act = np.asarray(action[q1], dtype=np.int64) % p
-        moved = [vector_index((v1 + act @ v2) % p, p) for v1 in vecs for v2 in vecs]
-        moved = np.array(moved, dtype=np.int64).reshape(pm, pm)
-        rows = range(pm * q1, pm * (q1 + 1))
-        for q2 in range(nq):
-            q3 = int(acting.mul[q1, q2])
-            cols = range(pm * q2, pm * (q2 + 1))
-            mul[np.ix_(rows, cols)] = moved + pm * q3
+        moved = (vecs[:, None, :] + (vecs @ act.T)[None]) % p @ weights  # index of v1 + q1.v2
+        np.add(moved[:, None, :], pm * acting.mul[q1][None, :, None], out=mul[q1])
+    mul = mul.reshape(n, n)
     gens = [p**i for i in range(m)] + [pm * q for q in acting.gens]
     return FiniteGroup(
         mul, identity=pm * acting.identity, label=label, gens=gens, validate=False

@@ -9,6 +9,8 @@ deterministic with a swap-to-smallest rule to keep entries small.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 _GUARD = 2**59
@@ -36,16 +38,19 @@ def _maxabs(v):
 class RowEchelon:
     """Incremental exact integer row-echelon accumulator.
 
-    Rows are fed in one batch at a time; the accumulator maintains a
-    Hermite-reduced basis of the row lattice seen so far.  The basis spans
-    the same lattice as the input rows, so Smith invariants of a huge input
-    matrix can be read off the (rank x ncols) accumulated basis.
+    Rows are fed in one batch at a time; the accumulator maintains the
+    Hermite normal form of the row lattice seen so far: pivots are
+    positive, and every other row's entry in a pivot column lies in
+    [0, pivot).  The basis spans the same lattice as the input rows, so
+    Smith invariants of a huge input matrix can be read off the
+    (rank x ncols) accumulated basis.
     """
 
     def __init__(self, ncols, dtype=np.int64):
         self.ncols = int(ncols)
         self.dtype = dtype
         self._rows = {}  # pivot column -> row vector
+        self._cols = []  # the pivot columns, ascending
         self._lifted = dtype == object
 
     def _lift(self):
@@ -66,14 +71,41 @@ class RowEchelon:
                     self._lift()
             self._add_one(np.array(row, dtype=self.dtype))
 
+    def _axpy(self, r, q, piv):
+        """r - q * piv, lifting the accumulator first if int64 could wrap."""
+        if not self._lifted and abs(q) * _maxabs(piv) + _maxabs(r) > _GUARD:
+            self._lift()
+        if self._lifted:
+            r, piv = r.astype(object, copy=False), piv.astype(object, copy=False)
+        return r - q * piv
+
+    def _reduce(self, r, j):
+        """r with its entries in the pivot columns after j put in [0, pivot)."""
+        for c in self._cols[bisect.bisect_right(self._cols, j):]:
+            piv = self._rows[c]
+            q = int(r[c]) // int(piv[c])
+            if q:
+                r = self._axpy(r, q, piv)
+        return r
+
+    def _settle(self, j):
+        # Hermite condition after row j was inserted or replaced: reduce row
+        # j against the later pivots, then each earlier row against row j;
+        # that touches its later columns, so reduce those again.
+        piv = self._rows[j] = self._reduce(self._rows[j], j)
+        lead = int(piv[j])
+        for c in self._cols[: bisect.bisect_left(self._cols, j)]:
+            q = int(self._rows[c][j]) // lead
+            if q:
+                self._rows[c] = self._reduce(self._axpy(self._rows[c], q, piv), j)
+
     def _add_one(self, v):
         start = 0
         while True:
-            if self._lifted and v.dtype != object:
-                # a guard may have lifted the accumulator mid-insertion
-                # (inside _back_reduce); the in-flight row must follow, or
-                # the skipped guards would let int64 products wrap
-                v = v.astype(object)
+            if self._lifted:
+                # a guard may have lifted the accumulator mid-insertion; the
+                # in-flight row must follow, or int64 products could wrap
+                v = v.astype(object, copy=False)
             nz = np.flatnonzero(v[start:])
             if nz.size == 0:
                 return
@@ -83,17 +115,13 @@ class RowEchelon:
                 if int(v[j]) < 0:
                     v = -v
                 self._rows[j] = v
-                self._back_reduce(j)
+                bisect.insort(self._cols, j)
+                self._settle(j)
                 return
             a = int(pivot_row[j])
             b = int(v[j])
             if b % a == 0:
-                q = b // a
-                if not self._lifted and abs(q) * _maxabs(pivot_row) + _maxabs(v) > _GUARD:
-                    self._lift()
-                    pivot_row = self._rows[j]
-                    v = v.astype(object)
-                v = v - q * pivot_row
+                v = self._axpy(v, b // a, pivot_row)
             else:
                 g, x, y = _xgcd(a, b)
                 if not self._lifted:
@@ -105,25 +133,8 @@ class RowEchelon:
                 combined = x * pivot_row + y * v
                 v = (a // g) * v - (b // g) * pivot_row
                 self._rows[j] = combined
-                self._back_reduce(j)
+                self._settle(j)
             start = j  # leading entry of v is now past j
-
-    def _back_reduce(self, j):
-        # Hermite condition: entries of other rows in a pivot column stay
-        # in [0, pivot).
-        piv = self._rows[j]
-        lead = int(piv[j])
-        for c in list(self._rows):
-            if c == j:
-                continue
-            r = self._rows[c]
-            q = int(r[j]) // lead
-            if q:
-                if not self._lifted and abs(q) * _maxabs(piv) + _maxabs(r) > _GUARD:
-                    self._lift()
-                    self._back_reduce(j)
-                    return
-                self._rows[c] = r - q * piv
 
     @property
     def rank(self):

@@ -6,8 +6,9 @@ Every evaluator re-validates its hypotheses from raw group data and refuses
 only under machine-checkable certificates.  The full obstruction group is
 assembled from its p-primary part (a rank-two criterion on the normal
 Sylow subgroup) and its prime-to-p part (computed on the small complement
-pair), and `sha_full` can run the assembled path and the brute-force bar
-complex side by side and compare.
+pair), and `sha_full` can run the assembled path and the brute-force
+restriction kernel (on the Cayley-graph presentation complex of
+`normone.cohomology`) side by side and compare.
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ class ShaReport:
 
 def sha_full(G, H, p, dset=(), method="both", budget=DEFAULT_COCHAIN_BUDGET):
     """Evaluate the obstruction group by the assembled structural path, the
-    brute-force bar complex, or both (recording agreement).
+    brute-force presentation complex, or both (recording agreement).
 
     The structural path is the direct sum of the p-part criterion value and
     the complement-pair prime-to-p value; the brute path is the restriction

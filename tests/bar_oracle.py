@@ -1,0 +1,289 @@
+"""The normalized bar complex: an independent reference for normone.cohomology.
+
+H^1 and H^2 are the torsion of the cokernels of the bar coboundaries d^0
+and d^1, of sizes (n-1) r x r and (n-1)^2 r x (n-1) r for a group of order
+n and a lattice of rank r, so use it on small groups only (order <= 24).
+The restriction kernel prunes the dset with a loop over the conjugates of
+each kept member.  Tests only; nothing in normone imports it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from normone import intmat
+from normone.cohomology import CohomologyGroup, ShaGroup, close_dset
+from normone.finab import FinAb
+from normone.lattices import restrict
+
+
+def _nonid(G):
+    return [g for g in G.elements() if g != G.identity]
+
+
+def coboundary0_matrix(M):
+    """d^0: M -> C^1, m |-> (g.m - m)_g, stacked over non-identity g."""
+    G, r = M.group, M.rank
+    nonid = _nonid(G)
+    eye = np.eye(r, dtype=np.int64)
+    return np.vstack([M.act[g] - eye for g in nonid]) if nonid else np.zeros((0, r), dtype=np.int64)
+
+
+def apply_coboundary1(M, x):
+    """d^1 on a 1-cochain given as an (n-1, r) array (identity row omitted).
+
+    (d^1 f)(g, h) = g.f(h) - f(gh) + f(g), returned as (n-1, n-1, r).
+    """
+    G, r = M.group, M.rank
+    nonid = _nonid(G)
+    k = len(nonid)
+    xfull = np.zeros((G.order, r), dtype=x.dtype)
+    xfull[nonid] = x
+    acts = M.act[nonid]  # (k, r, r)
+    out = np.einsum("gij,hj->ghi", acts, x)
+    prod = G.mul[np.ix_(nonid, nonid)]
+    out -= xfull[prod]
+    out += x[:, None, :]
+    return out
+
+
+def coboundary1_rows(M, g, pos):
+    """Dense d^1 rows for all pairs (g, h), h non-identity: ((n-1)*r, (n-1)*r).
+
+    `pos` maps element index -> position among non-identity elements.
+    """
+    G, r = M.group, M.rank
+    nonid = _nonid(G)
+    k = len(nonid)
+    rows = np.zeros((k * r, k * r), dtype=np.int64)
+    gact = M.act[g]
+    gi = pos[g]
+    eye = np.eye(r, dtype=np.int64)
+    for hi, h in enumerate(nonid):
+        blk = slice(hi * r, (hi + 1) * r)
+        rows[blk, hi * r : (hi + 1) * r] += gact
+        gh = int(G.mul[g, h])
+        if gh != G.identity:
+            ghi = pos[gh]
+            rows[blk, ghi * r : (ghi + 1) * r] -= eye
+        rows[blk, gi * r : (gi + 1) * r] += eye
+    return rows
+
+
+def coboundary1_matrix(M):
+    """Dense d^1: C^1 -> C^2 as ((n-1)^2 r, (n-1) r); small groups only."""
+    G, r = M.group, M.rank
+    nonid = _nonid(G)
+    pos = {g: i for i, g in enumerate(nonid)}
+    if not nonid:
+        return np.zeros((0, 0), dtype=np.int64)
+    return np.vstack([coboundary1_rows(M, g, pos) for g in nonid])
+
+
+def cocycle2_defect(M, c):
+    """Max |d^2 c| over all triples; 0 iff c is a 2-cocycle.
+
+    c has shape (n, n, r) with identity rows/columns zero.
+    """
+    G = M.group
+    gc = np.einsum("gij,hkj->ghki", M.act, c)  # g.c(h,k)
+    t1 = c[G.mul]  # [g,h,k,:] = c(gh, k)
+    t2 = c[:, G.mul]  # [g,h,k,:] = c(g, hk)
+    defect = gc - t1 + t2 - c[:, :, None, :]
+    return int(np.abs(defect).max()) if defect.size else 0
+
+
+def embed_cochain2(G, arr):
+    """Lift an (n-1, n-1, r) normalized table to (n, n, r) with identity zeros."""
+    nonid = _nonid(G)
+    n = G.order
+    r = arr.shape[-1]
+    out = np.zeros((n, n, r), dtype=arr.dtype)
+    out[np.ix_(nonid, nonid)] = arr
+    return out
+
+
+def embed_cochain1(G, arr):
+    nonid = _nonid(G)
+    out = np.zeros((G.order, arr.shape[-1]), dtype=arr.dtype)
+    out[nonid] = arr
+    return out
+
+
+def _torsion_with_generators(A_rowstream, ncols, apply_op):
+    """Torsion of the cokernel of an operator fed as row chunks.
+
+    A_rowstream yields row chunks of the matrix A; apply_op(vec) computes
+    A @ vec exactly (object ints welcome).  Returns (orders, vectors) where
+    vectors[i] = (A V e_i)/orders[i] lives in the codomain.
+    """
+    reducer = intmat.RowEchelon(ncols)
+    for chunk in A_rowstream:
+        if chunk.size:
+            reducer.add_rows(chunk)
+    R = reducer.matrix()
+    if R.shape[0] == 0:
+        return [], []
+    diag, _, V, _ = intmat.smith(R, want_v=True)
+    orders, vecs = [], []
+    for i, d in enumerate(diag):
+        if d <= 1:
+            continue
+        w = V[:, i]
+        img = np.array(apply_op(w), dtype=object)
+        q = img // d
+        if np.any(img - q * d):  # impossible if the reduction is sound
+            raise ArithmeticError("generator extraction produced a non-integral vector")
+        orders.append(int(d))
+        vecs.append(q)
+    return orders, vecs
+
+
+def cohomology(G, M, degree):
+    """H^degree(G, M) for degree 1 or 2 by the normalized bar complex."""
+    assert M.group is G and degree in (1, 2)
+    r = M.rank
+    nonid = _nonid(G)
+    k = len(nonid)
+
+    if r == 0 or k == 0:
+        return CohomologyGroup(degree, G, M, structure=FinAb.trivial())
+
+    if degree == 1:
+        A = coboundary0_matrix(M)
+        orders, vecs = _torsion_with_generators(
+            iter([A]), r, lambda w: np.array(A, dtype=object) @ w
+        )
+        gens = [embed_cochain1(G, v.reshape(k, r)) for v in vecs]
+        return CohomologyGroup(1, G, M, structure=FinAb(tuple(orders)), generators=gens)
+
+    pos = {g: i for i, g in enumerate(nonid)}
+
+    def rowstream():
+        for g in nonid:
+            yield coboundary1_rows(M, g, pos)
+
+    def apply_op(w):
+        x = np.array(w, dtype=object).reshape(k, r)
+        return apply_coboundary1(M, x).reshape(-1)
+
+    orders, vecs = _torsion_with_generators(rowstream(), k * r, apply_op)
+    gens = []
+    for v in vecs:
+        c = embed_cochain2(G, v.reshape(k, k, r))
+        if cocycle2_defect(M, c):
+            raise ArithmeticError("extracted generator is not a cocycle")
+        gens.append(c)
+    return CohomologyGroup(2, G, M, structure=FinAb(tuple(orders)), generators=gens)
+
+
+def is_coboundary(D, M, c):
+    """Decide whether a 2-cocycle over D bounds; return (flag, witness).
+
+    `c` uses D-local element indexing, shape (|D|, |D|, rank); `M` is the
+    ambient G-lattice (it is restricted internally).  The witness is a
+    normalized 1-cochain b with d^1 b = c, in D-local indexing.
+    """
+    RM = restrict(M, D) if M.group is D.parent else M
+    sub = RM.group
+    r = RM.rank
+    nonid = _nonid(sub)
+    k = len(nonid)
+    c = np.asarray(c)
+    if c.shape != (sub.order, sub.order, r):
+        raise ValueError("cocycle table has wrong shape")
+    if k == 0 or r == 0:
+        ok = not np.any(c)
+        return ok, (np.zeros((sub.order, r), dtype=object) if ok else None)
+    A = coboundary1_matrix(RM)
+    rhs = np.array(c, dtype=object)[np.ix_(nonid, nonid)].reshape(-1)
+    x = intmat.solve(A, rhs)
+    if x is None:
+        return False, None
+    return True, embed_cochain1(sub, x.reshape(k, r))
+
+
+def _effective_dset(G, closed):
+    """Prune the closed family for the kernel computation.
+
+    Restriction kernels agree on conjugate subgroups, and a subgroup
+    contained in another member imposes a weaker condition, so only
+    maximal members up to conjugacy matter.
+    """
+    canon = {}
+    for h in closed:
+        c = h.canonical_conjugate()
+        canon[c.elements] = c
+    members = sorted(canon.values(), key=lambda h: (-h.order, h.elements))
+    kept = []
+    for h in members:
+        if any(k.contains_subgroup(h) for k in kept):
+            continue
+        # also drop if contained in a conjugate of a kept member
+        absorbed = False
+        for k in kept:
+            if h.order <= k.order:
+                for g in G.elements():
+                    if k.conjugate(g).contains_subgroup(h):
+                        absorbed = True
+                        break
+            if absorbed:
+                break
+        if not absorbed:
+            kept.append(h)
+    return kept
+
+
+def sha(G, M, dset, base=None):
+    """The subgroup of H^2(G, M) killed by restriction to every member of
+    the closed dset (user-supplied members plus all cyclic subgroups).
+
+    `base` may pass in this module's H^2(G, M), to reuse it across dsets.
+    """
+    if base is None:
+        base = cohomology(G, M, 2)
+    raw = list(dset)
+    closed = close_dset(G, raw)
+    orders = list(base.structure.factors)
+    kcount = len(orders)
+    if kcount == 0:
+        return ShaGroup(base, raw, closed, FinAb.trivial(), [])
+
+    lam0 = np.zeros((kcount, kcount), dtype=object)
+    for i, d in enumerate(orders):
+        lam0[i, i] = d
+
+    lattice = np.eye(kcount, dtype=object)
+    for D in _effective_dset(G, closed):
+        if D.order == G.order:
+            cond = lam0
+        elif D.order == 1:
+            continue
+        else:
+            RM = restrict(M, D)
+            sub = RM.group
+            nonid = _nonid(sub)
+            kd = len(nonid)
+            if kd == 0 or RM.rank == 0:
+                continue
+            A = coboundary1_matrix(RM)
+            cols = []
+            for c in base.generators:
+                local = np.array(c, dtype=object)[np.ix_(D.elements, D.elements)]
+                cols.append(local[np.ix_(nonid, nonid)].reshape(-1))
+            C = np.stack(cols, axis=1)
+            combined = np.hstack([C, A.astype(object)])
+            K = intmat.kernel_basis(combined)
+            cond = intmat.column_lattice_basis(K[:kcount, :])
+        lattice = intmat.lattice_intersect(lattice, cond)
+
+    qorders, qgens = intmat.quotient_group(lattice, lam0)
+    structure = FinAb.from_factors(qorders)
+    gens = []
+    for coeff in qgens:
+        c = np.zeros_like(np.array(base.generators[0], dtype=object))
+        for a, d, gen in zip(coeff, orders, base.generators):
+            a = int(a) % d  # d * [gen] vanishes, so reduce for small entries
+            c = c + a * np.array(gen, dtype=object)
+        gens.append(c)
+    return ShaGroup(base, raw, closed, structure, gens)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bar_oracle import apply_coboundary1
 from normone.catalog import a4_shape_spec, catalog_group, cyclic_spec
 from normone.cohomology import (
     cocycle2_defect,
@@ -186,8 +187,6 @@ def test_sha_generators_restrict_to_coboundaries():
             RM = restrict(lat, D)
             sub = RM.group
             nonid = [g for g in sub.elements() if g != sub.identity]
-            from normone.cohomology import apply_coboundary1
-
             d1 = apply_coboundary1(RM, np.array(wit, dtype=object)[nonid])
             rest = np.array(c, dtype=object)[np.ix_(nonid, nonid)]
             assert (d1 == rest).all()

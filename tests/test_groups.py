@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from normone.catalog import (
@@ -27,11 +28,15 @@ from normone.groups import (
     derived_subgroup,
     double_cosets,
     full_subgroup,
+    index_vector,
     normalizer_centralizer,
+    semidirect_from_action,
     subgroup_closure,
     sylow_subgroup,
     trivial_subgroup,
+    vector_index,
 )
+from normone.reps import s3_standard_rep
 
 
 def s3():
@@ -193,6 +198,34 @@ def test_canonical_conjugate_matches_loop_definition():
                 tuple(sorted(G.conj(g, x) for x in H.elements)) for g in G.elements()
             )
             assert H.canonical_conjugate().elements == least, (name, H.elements)
+
+
+def test_is_normal_matches_loop_definition():
+    for name in catalog_names():
+        G = catalog_group(name)
+        for H in all_subgroups(G):
+            loop = all(H.contains(G.conj(g, x)) for g in G.elements() for x in H.elements)
+            assert H.is_normal == loop, (name, H.elements)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_semidirect_table_matches_loop_definition(p):
+    # (v1, q1)(v2, q2) = (v1 + q1.v2, q1 q2), element (v, q) at index(v) + p^m q
+    cases = [(catalog_group("Z3"), [np.linalg.matrix_power(np.array([[0, -1], [1, -1]]), k) for k in range(3)])]
+    if p > 3:
+        rep = s3_standard_rep(p)
+        cases.append((rep.group, rep.mats))
+    for acting, action in cases:
+        G = semidirect_from_action(p, 2, acting, action)
+        pm = p * p
+        for q1 in acting.elements():
+            for q2 in acting.elements():
+                for a in range(pm):
+                    v1 = index_vector(a, p, 2)
+                    for b in range(pm):
+                        v2 = index_vector(b, p, 2)
+                        moved = vector_index((v1 + np.asarray(action[q1]) @ v2) % p, p)
+                        assert G.mul[a + pm * q1, b + pm * q2] == moved + pm * acting.mul[q1, q2]
 
 
 def test_core_examples():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normone import intmat
 from normone.finab import FinAb
@@ -143,3 +145,48 @@ def test_row_echelon_mid_insertion_lift():
     assert set(fast._rows) == set(exact._rows)
     for c in fast._rows:
         assert all(int(a) == int(b) for a, b in zip(fast._rows[c], exact._rows[c]))
+
+
+def _matrices(max_entry):
+    return st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-max_entry, max_entry), min_size=n, max_size=n),
+            min_size=1,
+            max_size=9,
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices(30), st.integers(1, 3))
+def test_row_echelon_is_hermite(rows, batches):
+    # pivots positive and strictly to the right row by row; every entry in
+    # a pivot column, off the pivot's own row, lies in [0, pivot); the
+    # basis spans the row lattice of the input
+    _check_hermite(rows, batches, dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(2**70), st.integers(1, 3))
+def test_row_echelon_is_hermite_after_lift(rows, batches):
+    _check_hermite(rows, batches, dtype=object)
+
+
+def _check_hermite(rows, batches, dtype):
+    A = np.array(rows, dtype=dtype)
+    acc = intmat.RowEchelon(A.shape[1])
+    for chunk in np.array_split(A, batches):
+        acc.add_rows(chunk)
+    B = acc.matrix()
+    pivots = [int(np.flatnonzero(row)[0]) for row in B]
+    assert pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        lead = int(B[i, c])
+        assert lead > 0
+        assert all(0 <= int(B[k, c]) < lead for k in range(len(B)) if k != i)
+    A = A.astype(object)
+    if B.shape[0]:
+        assert intmat.solve_many(B.T, A.T) is not None
+        assert intmat.solve_many(A.T, B.T) is not None
+    else:
+        assert not np.any(A)

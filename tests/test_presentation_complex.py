@@ -1,0 +1,199 @@
+"""The Cayley-graph presentation complex against the bar-complex oracle,
+the Schur multiplier, and exact cocycle and coboundary certificates."""
+
+import math
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+import bar_oracle
+from normone import intmat
+from normone.catalog import abelian_spec, catalog_group, catalog_names
+from normone.cohomology import cocycle2_defect, cohomology, is_coboundary, sha
+from normone.finab import FinAb
+from normone.groups import all_subgroups, build_group, full_subgroup, sylow_subgroup, trivial_subgroup
+from normone.lattices import induced_perm_lattice, j_lattice, trivial_lattice
+
+
+def _perm_group(label, degree, *gens):
+    return build_group({"kind": "permutations", "degree": degree, "generators": list(gens), "label": label})
+
+
+def d6():
+    return _perm_group("D6", 6, "(1 2 3 4 5 6)", "(1 6)(2 5)(3 4)")
+
+
+def s4():
+    return _perm_group("S4", 4, "(1 2 3 4)", "(1 2)")
+
+
+def _subgroup_classes(G):
+    return {c.elements: c for c in (H.canonical_conjugate() for H in all_subgroups(G))}.values()
+
+
+def _bar_coboundary(lat, b):
+    # the bar coboundary of a 1-cochain, straight from its definition
+    G = lat.group
+    out = np.zeros((G.order, G.order, lat.rank), dtype=object)
+    for g in range(G.order):
+        for h in range(G.order):
+            out[g, h] = lat.act[g] @ b[h] - b[G.mul[g, h]] + b[g]
+    return out
+
+
+# -- the oracle gate -------------------------------------------------------------
+
+
+ORACLE_GROUPS = [(name, lambda name=name: catalog_group(name)) for name in catalog_names()]
+ORACLE_GROUPS += [("D6", d6), ("S4", s4)]
+
+
+@pytest.mark.parametrize("name, make", ORACLE_GROUPS, ids=[n for n, _ in ORACLE_GROUPS])
+def test_matches_bar_oracle(name, make):
+    # H^1, H^2 and Sha (dset none and the Sylow 2-subgroup) of J_{G/H} for
+    # every subgroup class H, and of the induced lattices Z[G/H]
+    G = make()
+    dsets = ([], [sylow_subgroup(G, 2)])
+    for H in _subgroup_classes(G):
+        for lat in (j_lattice(G, [(H, 1)])[0], induced_perm_lattice(G, H)[0]):
+            case = (name, H.order, lat.rank)
+            assert cohomology(G, lat, 1).structure == bar_oracle.cohomology(G, lat, 1).structure, case
+            base = bar_oracle.cohomology(G, lat, 2)
+            assert cohomology(G, lat, 2).structure == base.structure, case
+            for dset in dsets:
+                got = sha(G, lat, dset).structure
+                assert got == bar_oracle.sha(G, lat, dset, base).structure, case
+
+
+# -- the Schur multiplier -----------------------------------------------------------
+
+
+SCHUR = [
+    ("S3", lambda: catalog_group("S3"), FinAb.trivial()),
+    ("D4", lambda: catalog_group("D4"), FinAb.cyclic(2)),
+    ("Q8", lambda: catalog_group("Q8"), FinAb.trivial()),
+    ("A4", lambda: catalog_group("A4"), FinAb.cyclic(2)),
+    ("(Z/2)^3", lambda: catalog_group("E8"), FinAb((2, 2, 2))),
+    ("(Z/3)^2", lambda: catalog_group("Z3xZ3"), FinAb.cyclic(3)),
+    ("Z2xZ4", lambda: catalog_group("Z2xZ4"), FinAb.cyclic(2)),
+    ("S4", s4, FinAb.cyclic(2)),
+    ("D12", d6, FinAb.cyclic(2)),
+    ("(Z/2)^4", lambda: build_group(abelian_spec(2, 2, 2, 2)), FinAb((2,) * 6)),
+    ("A5", lambda: _perm_group("A5", 5, "(1 2 3 4 5)", "(1 2 3)"), FinAb.cyclic(2)),
+]
+
+
+@pytest.mark.parametrize("name, make, schur", SCHUR, ids=[n for n, _, _ in SCHUR])
+def test_regular_norm_one_kernel_is_schur_multiplier(name, make, schur):
+    # Tate: for H = 1, Z[G] is cohomologically trivial and H^3(C, Z) = 0 for
+    # cyclic C, so Sha^2(G, J_G) = H^2(G, J_G) = H^3(G, Z) = M(G)
+    G = make()
+    lat, _ = j_lattice(G, [(trivial_subgroup(G), 1)])
+    got = sha(G, lat, [])
+    assert got.base.structure == got.structure == schur
+
+
+ABELIAN = [(2, 2), (2, 4), (4, 4), (2, 6), (3, 3), (3, 6), (2, 8), (2, 2, 2), (2, 2, 4), (2, 2, 3), (5, 5)]
+
+
+@pytest.mark.parametrize("factors", ABELIAN, ids=["x".join(map(str, f)) for f in ABELIAN])
+def test_abelian_schur_closed_form(factors):
+    # M(Z/n_1 + ... + Z/n_m) = sum over i < j of Z/gcd(n_i, n_j)
+    G = build_group(abelian_spec(*factors))
+    lat, _ = j_lattice(G, [(trivial_subgroup(G), 1)])
+    expected = FinAb.from_factors([math.gcd(a, b) for a, b in combinations(factors, 2)])
+    assert sha(G, lat, []).structure == expected
+
+
+# -- certificates ----------------------------------------------------------------------
+
+
+MUTATION_GROUPS = ("S3", "V4", "Z4", "D4", "Q8", "Z3xZ3", "A4")
+
+
+@pytest.mark.parametrize("name", MUTATION_GROUPS)
+def test_cocycle_defect_matches_full_defect_on_perturbations(name):
+    # Light's test on generators agrees with d^2 over all n^3 triples, on
+    # true cocycles and on every single-entry perturbation sampled from them
+    G = catalog_group(name)
+    lat, _ = j_lattice(G, [(trivial_subgroup(G), 1)])
+    rng = np.random.default_rng(sum(map(ord, name)))
+    gens = cohomology(G, lat, 2).generators
+    b = rng.integers(-3, 4, size=(G.order, lat.rank))
+    b[G.identity] = 0
+    c = _bar_coboundary(lat, b).astype(np.int64) + sum(gens, np.zeros((G.order,) * 2 + (lat.rank,), np.int64))
+    assert cocycle2_defect(lat, c) == bar_oracle.cocycle2_defect(lat, c) == 0
+    flagged = 0
+    for _ in range(100):
+        bad = c.copy()
+        g, h, i = (int(x) for x in rng.integers(0, [G.order, G.order, lat.rank]))
+        bad[g, h, i] += int(rng.choice([-2, -1, 1, 3]))
+        full = bar_oracle.cocycle2_defect(lat, bad)
+        assert (cocycle2_defect(lat, bad) == 0) == (full == 0), (g, h, i)
+        flagged += full > 0
+    assert flagged == 100
+
+
+@pytest.mark.parametrize("name", ("V4", "S3", "Q8"))
+def test_cocycle_defect_checks_every_generator(name):
+    # normalized tables that pass d c(g, s, h) = 0 for the first generator s
+    # only: not cocycles, and the defect must see it
+    G = catalog_group(name)
+    lat = trivial_lattice(G, 1)
+    n, e, s = G.order, G.identity, G.gens[0]
+    rows = []
+    for g in range(n):
+        for h in range(n):
+            row = np.zeros((n, n), dtype=np.int64)
+            row[s, h] += 1
+            row[G.mul[g, s], h] -= 1
+            row[g, G.mul[s, h]] += 1
+            row[g, s] -= 1
+            rows.append(row.reshape(-1))
+    for x in range(n):
+        for entry in ((e, x), (x, e)):  # normalization
+            unit = np.zeros((n, n), dtype=np.int64)
+            unit[entry] = 1
+            rows.append(unit.reshape(-1))
+    kernel = intmat.kernel_basis(np.array(rows))
+    tables = [np.array(kernel[:, j], dtype=np.int64).reshape(n, n, 1) for j in range(kernel.shape[1])]
+    broken = [c for c in tables if bar_oracle.cocycle2_defect(lat, c)]
+    assert broken
+    assert all(cocycle2_defect(lat, c) for c in broken)
+
+
+def test_is_coboundary_witness_and_non_cocycles():
+    # a coboundary is recognised with an exact witness; perturbing one entry
+    # leaves a table that is not a cocycle, which must be refused
+    G = catalog_group("A4")
+    lat, _ = j_lattice(G, [(sylow_subgroup(G, 2), 1)])
+    rng = np.random.default_rng(5)
+    b = rng.integers(-4, 5, size=(G.order, lat.rank)).astype(object)
+    b[G.identity] = 0
+    c = _bar_coboundary(lat, b)
+    ok, wit = is_coboundary(full_subgroup(G), lat, c)
+    assert ok and (_bar_coboundary(lat, wit) == c).all()
+    for g, h in ((1, 2), (5, 11), (7, 7)):
+        bad = c.copy()
+        bad[g, h, 0] += 1
+        assert is_coboundary(full_subgroup(G), lat, bad) == (False, None)
+
+
+def test_h1_generators_are_crossed_homomorphisms():
+    checked = 0
+    for name in ("V4", "Z2xZ4", "Z3xZ3", "E8", "D4"):
+        G = catalog_group(name)
+        for H in all_subgroups(G):
+            lat, _ = j_lattice(G, [(H, 1)])
+            h1 = cohomology(G, lat, 1)
+            for d, b in zip(h1.structure.factors, h1.generators):
+                for g in range(G.order):
+                    for h in range(G.order):
+                        assert (b[G.mul[g, h]] == b[g] + lat.act[g] @ b[h]).all()
+                # d b is principal, g |-> (g - 1) m for some m, and b is not
+                diff = (lat.act - np.eye(lat.rank, dtype=np.int64)).reshape(-1, lat.rank)
+                assert intmat.solve(diff, d * b.reshape(-1)) is not None
+                assert intmat.solve(diff, b.reshape(-1)) is None
+                checked += 1
+    assert checked

@@ -219,10 +219,11 @@ def test_p_restriction_route():
 
 
 def test_budget_fallback_on_order_150():
-    # the order-150 pair genuinely overflows the default cochain budget, so
-    # the brute path degrades and the Sylow restriction confirms the p-part
+    # the order-150 pair's C^2 has 6314 columns; a budget of 2000 overflows
+    # it but not the Sylow restriction (364), so the brute path degrades and
+    # the Sylow restriction confirms the p-part
     G, H, _ = build_semidirect(s3_standard_rep(5))
-    rep = sha_full(G, H, 5, method="both")
+    rep = sha_full(G, H, 5, method="both", budget=2000)
     assert rep.brute_result is None
     assert any("budget" in w for w in rep.warnings)
     assert rep.theorem_result == FinAb.cyclic(5)
@@ -232,12 +233,23 @@ def test_budget_fallback_on_order_150():
 
 
 def test_alpha_p5_both_paths():
-    # deepest honest cross-validation in the suite (about a minute): the
-    # order-75 pair agrees between the assembled and brute paths
+    # the order-75 pair agrees between the assembled and brute paths at the
+    # default budget
     G75, H75, _ = build_semidirect(witness_rep(5, 3))
     rep = sha_full(G75, H75, 5, method="both")
     assert rep.agreement is True
+    assert rep.brute_result == rep.theorem_result == FinAb.cyclic(5)
     assert rep.result == FinAb.cyclic(5)
+
+
+def test_beta_p5_both_paths():
+    # the order-150 pair agrees between the assembled and brute paths at the
+    # default budget
+    G, H, _ = build_semidirect(s3_standard_rep(5))
+    rep = sha_full(G, H, 5, method="both")
+    assert not rep.warnings
+    assert rep.agreement is True
+    assert rep.brute_result == rep.theorem_result == FinAb.cyclic(5)
 
 
 # -- vanishing certificates ----------------------------------------------------------------
@@ -373,11 +385,18 @@ def test_witness_theorem_path():
 
 def test_witness_ii_theorem_path():
     # order-300 witness: prime-to-2 part is brute-forced on the order-75
-    # complement pair and contributes Z/5 (takes about a minute)
+    # complement pair and contributes Z/5
     spec, H, prediction = composite_sha_witness(2, "ii", 5)
     G = H.parent
     rep = sha_full(G, H, 2, method="theorem")
     assert rep.result == prediction == FinAb.cyclic(10)
+
+
+def test_witness_ii_brute_path():
+    # the order-300 witness by brute force alone, at the default budget
+    spec, H, prediction = composite_sha_witness(2, "ii", 5)
+    rep = sha_full(H.parent, H, 2, method="brute")
+    assert rep.brute_result == prediction == FinAb.cyclic(10)
 
 
 # -- small-degree exponent facts -----------------------------------------------------------
@@ -399,7 +418,10 @@ def test_diagonal_line_pair_with_eigenvalue_one_action():
     H = subgroup_closure(g100, [6])  # the diagonal line, order 5
     conds = p_part_conditions(g100, H, 5)
     assert not conds.all_abc  # the structural p-part vanishes here
-    rep = sha_full(g100, H, 5, method="both", budget=150000)
+    # C^2 of the pair has 3819 columns and that of the Sylow restriction 494:
+    # a budget of 1000 sends the brute path to the Sylow fallback
+    rep = sha_full(g100, H, 5, method="both", budget=1000)
+    assert rep.brute_result is None
     assert rep.theorem_result == FinAb.trivial()
     assert rep.p_restriction_check is not None
     # upper bound only: the trivial p-part embeds in any restriction kernel
