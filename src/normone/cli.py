@@ -72,6 +72,29 @@ def load_group_spec(source):
     return _validate_spec_dict(doc)
 
 
+def _is_int(x, low=-(2**63)):
+    return isinstance(x, int) and not isinstance(x, bool) and low <= x < 2**63
+
+
+def _ints(x, depth):
+    """True if x is a list of integers nested `depth` lists deep."""
+    return isinstance(x, list) and all(_ints(v, depth - 1) if depth > 1 else _is_int(v) for v in x)
+
+
+_FIELDS = {  # kind -> {field: (check, what the field must be)}
+    "table": {"n": (lambda v: _is_int(v, 1), "a positive integer"),
+              "mul": (lambda v: _ints(v, 1) or _ints(v, 2), "a list of integers or integer rows")},
+    "permutations": {"degree": (lambda v: _is_int(v, 1), "a positive integer"),
+                     "generators": (lambda v: isinstance(v, list) and all(
+                         isinstance(g, str) or _ints(g, 1) for g in v), "a list of permutations")},
+    "semidirect": {"p": (lambda v: _is_int(v) and is_prime(v), "a prime"),
+                   "m": (lambda v: _is_int(v, 1), "a positive integer"),
+                   "matrices": (lambda v: _ints(v, 3), "a list of integer matrices"),
+                   "acting": (lambda v: isinstance(v, dict), "a group spec")},
+    "product": {"factors": (lambda v: isinstance(v, list) and v != [], "a nonempty list")},
+}
+
+
 def _validate_spec_dict(doc):
     if not isinstance(doc, dict):
         raise SchemaError("group spec must be an object")
@@ -79,31 +102,21 @@ def _validate_spec_dict(doc):
     if kind not in GroupSpec.KINDS:
         raise SchemaError(f"unknown or missing kind {kind!r}")
     payload = {k: v for k, v in doc.items() if k != "kind"}
-    if kind == "table":
-        if "n" not in payload or "mul" not in payload:
-            raise SchemaError("table spec needs 'n' and 'mul'")
-    elif kind == "permutations":
-        if "degree" not in payload or "generators" not in payload:
-            raise SchemaError("permutation spec needs 'degree' and 'generators'")
-    elif kind == "semidirect":
-        for key in ("p", "m", "matrices", "acting"):
-            if key not in payload:
-                raise SchemaError(f"semidirect spec needs {key!r}")
-        p, m = int(payload["p"]), int(payload["m"])
-        if not is_prime(p):
-            raise SchemaError(f"semidirect 'p' must be prime, got {p}")
+    for key, (check, what) in _FIELDS[kind].items():
+        if key not in payload:
+            raise SchemaError(f"{kind} spec needs {key!r}")
+        if not check(payload[key]):
+            raise SchemaError(f"{kind} spec field {key!r} must be {what}")
+    if kind == "semidirect":
+        p, m = payload["p"], payload["m"]
         for M in payload["matrices"]:
-            arr = np.asarray(M, dtype=np.int64)
-            if arr.shape != (m, m):
+            if len(M) != m or any(len(row) != m for row in M):
                 raise SchemaError(f"action matrix must be {m}x{m}")
-            if _det_mod_p(arr % p, p) == 0:
+            if _det_mod_p(np.asarray(M, dtype=np.int64) % p, p) == 0:
                 raise SchemaError("action matrix is not invertible mod p")
         payload["acting"] = _validate_spec_dict(payload["acting"]).to_dict()
     elif kind == "product":
-        factors = payload.get("factors")
-        if not isinstance(factors, list) or not factors:
-            raise SchemaError("product spec needs a nonempty 'factors' list")
-        payload["factors"] = [_validate_spec_dict(f).to_dict() for f in factors]
+        payload["factors"] = [_validate_spec_dict(f).to_dict() for f in payload["factors"]]
     return GroupSpec(kind, payload)
 
 
@@ -115,7 +128,10 @@ def resolve_subgroup(G, text):
     if text == "all":
         return subgroup_closure(G, list(G.elements()))
     if text.startswith("sylow:"):
-        return sylow_subgroup(G, int(text.split(":", 1)[1]))
+        prime = text[len("sylow:"):].strip()
+        if not prime.isdecimal():
+            raise SchemaError(f"bad Sylow prime in {text!r}")
+        return sylow_subgroup(G, int(prime))
     try:
         gens = [int(t) for t in text.replace(",", " ").split()]
     except ValueError as exc:

@@ -677,7 +677,7 @@ def _group_from_table(payload, label):
     n = int(payload["n"])
     if len(mul) == n * n and not isinstance(mul[0], (list, tuple)):
         mul = [mul[i * n : (i + 1) * n] for i in range(n)]
-    if len(mul) != n or any(len(r) != n for r in mul):
+    if len(mul) != n or any(np.shape(r) != (n,) for r in mul):
         raise SpecInvalid("table has wrong shape")
     arr = np.asarray(mul, dtype=np.int64)
     if n and (arr.min() < 0 or arr.max() >= n):
@@ -747,6 +747,8 @@ def semidirect_product(p, m, acting, matrices, label="", order_budget=DEFAULT_OR
         if _det_mod_p(M, p) == 0:
             raise SpecInvalid("action matrix is singular mod p")
         mats.append(M)
+    if len(mats) != len(acting.gens):
+        raise SpecInvalid(f"need one action matrix per acting generator, {len(acting.gens)}")
     eye = np.eye(m, dtype=np.int64)
     action = extend_from_generators(
         acting,

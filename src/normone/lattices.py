@@ -172,7 +172,7 @@ def j_lattice(G, pairs):
     Uinv = np.array(Uinv, dtype=np.int64)
     # In the U-basis every action matrix fixes e_1, so it is block
     # triangular and the quotient action is the lower-right block.
-    act_j = np.einsum("ij,njk,kl->nil", U, total.act, Uinv)[:, 1:, 1:]
+    act_j = (U @ total.act @ Uinv)[:, 1:, 1:]
     names = ",".join(f"{H.order}^{e}" if e > 1 else f"{H.order}" for H, e in pairs)
     lat = GLattice(G, act_j, label=f"J[{G.order}/({names})]", validate=False)
     qmap = LatticeMap(total, lat, U[1:, :])

@@ -596,6 +596,8 @@ def exhaustive_scan(p, n, max_subgroups=200000):
     p, n = int(p), int(n)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    if n < 1:
+        raise PreconditionFailed(f"the index n must be positive, got {n}")
     if math.gcd(p, n) != 1:
         raise NotCoprime(f"{n} is not coprime to {p}")
     if p > _GL2_MAX_P:

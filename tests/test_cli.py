@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normone.cli import (
     EXIT_BUDGET,
@@ -11,7 +17,7 @@ from normone.cli import (
     resolve_subgroup,
     run,
 )
-from normone.catalog import a4_shape_spec, abelian_spec
+from normone.catalog import a4_shape_spec, abelian_spec, cyclic_spec, symmetric3_spec
 from normone.errors import ParseError, SchemaError
 from normone.groups import build_group
 
@@ -166,3 +172,100 @@ def test_selftest_quick(capsys):
     code, report = run_capture(capsys, ["selftest", "--scope", "quick"])
     assert code == EXIT_OK
     assert report["results"]["failed"] == 0
+
+
+# -- malformed input -----------------------------------------------------------------
+
+TRIVIAL_TABLE = {"kind": "table", "n": 1, "mul": [[0]]}
+SEMIDIRECT_BAD_P = {"kind": "semidirect", "p": "x", "m": 2, "matrices": [], "acting": TRIVIAL_TABLE}
+
+
+def _sha_argv(spec, *extra):
+    return ["sha", "--group", json.dumps(spec), "--p", "2", *extra]
+
+
+@pytest.mark.parametrize(
+    "argv, error, code",
+    [
+        (_sha_argv(SEMIDIRECT_BAD_P), "SchemaError", EXIT_PARSE),
+        (_sha_argv(dict(SEMIDIRECT_BAD_P, p=5, matrices="abc")), "SchemaError", EXIT_PARSE),
+        (_sha_argv({"kind": "table", "n": "two", "mul": [[0, 1], [1, 0]]}), "SchemaError", EXIT_PARSE),
+        (_sha_argv({"kind": "permutations", "degree": 3, "generators": 5}), "SchemaError", EXIT_PARSE),
+        (_sha_argv(a4_shape_spec(2), "--subgroup", "sylow:x"), "SchemaError", EXIT_PARSE),
+        (["scan-reps", "--p", "5", "--n", "-2"], "PreconditionFailed", EXIT_HYPOTHESIS),
+    ],
+)
+def test_malformed_input_exits_with_typed_error(capsys, argv, error, code):
+    got, report = run_capture(capsys, argv)
+    assert got == code
+    assert report["error"]["type"] == error
+
+
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+_GROUPS = st.sampled_from(
+    [cyclic_spec(n) for n in range(1, 7)]
+    + [abelian_spec(2, 2), symmetric3_spec(), a4_shape_spec(2)]
+)
+
+
+def _specs(junk):
+    """Small group specs of every kind; with junk, any field may be arbitrary JSON."""
+    field = (lambda s: s | _JUNK) if junk else (lambda s: s)
+
+    def table(n):
+        row = st.lists(st.integers(-1, n), min_size=n, max_size=n)
+        # a flat row-major table, or a single row where the table belongs
+        row_major = st.lists(st.integers(-1, n), min_size=n * n, max_size=n * n) | row
+        return st.fixed_dictionaries({
+            "kind": st.just("table"),
+            "n": field(st.just(n)),
+            "mul": field(st.lists(row, min_size=n, max_size=n) | row_major),
+        })
+
+    def permutations(degree):
+        cycle = st.lists(st.integers(0, degree + 1), max_size=4).map(
+            lambda pts: "(" + " ".join(map(str, pts)) + ")")
+        return st.fixed_dictionaries({
+            "kind": st.just("permutations"),
+            "degree": field(st.just(degree)),
+            "generators": field(st.lists(st.permutations(list(range(degree))) | cycle, max_size=2)),
+        })
+
+    def semidirect(m):
+        row = st.lists(st.integers(-2, 4), min_size=m, max_size=m)
+        matrix = st.lists(row, min_size=m, max_size=m)
+        return st.fixed_dictionaries({
+            "kind": st.just("semidirect"),
+            "p": field(st.sampled_from([2, 3, 4, 5])),
+            "m": field(st.just(m)),
+            "matrices": field(st.lists(matrix, max_size=2)),
+            "acting": field(st.sampled_from([cyclic_spec(k) for k in (1, 2, 3)])),
+        })
+
+    small = _GROUPS | st.integers(1, 6).flatmap(table) | st.integers(1, 5).flatmap(permutations)
+    product = st.fixed_dictionaries(
+        {"kind": st.just("product"), "factors": field(st.lists(small, max_size=2))}
+    )
+    return small | st.integers(1, 2).flatmap(semidirect) | product
+
+
+_SUBGROUPS = st.text(max_size=4) | st.sampled_from(
+    ["trivial", "all", "sylow:2", "sylow:3", "0", "1", "0,1", "1 2",
+     "sylow:4", "sylow:x", "sylow:", "sylow:-2", "-1", "99", "a,b", " "]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GROUPS | _specs(False) | _specs(True) | _JUNK, _SUBGROUPS, st.sampled_from("2351x"))
+def test_sha_never_raises_on_random_specs(spec, subgroup, p):
+    # every outcome is a report with a documented exit code, never a
+    # traceback; the small budget keeps brute force on order-120 groups short
+    argv = ["sha", "--group", json.dumps(spec), f"--subgroup={subgroup}", f"--p={p}"]
+    with mock.patch.dict(os.environ, {"SHA_BUDGET": "3000"}), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run(argv) in (EXIT_OK, EXIT_HYPOTHESIS, EXIT_BUDGET, EXIT_PARSE)

@@ -103,6 +103,10 @@ def test_induced_h2_is_abelianization_small():
             sub, _ = H.as_group()
             ab = abelianization(sub)[0] if sub.order > 1 else FinAb.trivial()
             assert cohomology(G, ind, 2).structure == ab, (name, H.order)
+    # pinned: the lattice induced from A3 up to S3
+    S3 = catalog_group("S3")
+    ind, _ = induced_perm_lattice(S3, subgroup_closure(S3, [S3.gens[0]]))
+    assert cohomology(S3, ind, 2).structure == FinAb.cyclic(3)
 
 
 def test_restriction_kernel_of_induced_vanishes():

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,37 +32,11 @@ def test_smith_transform_identity():
         assert intmat.invariant_factors(V) == [1] * n
 
 
-def test_carry_matches_row_ops():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        m, n = rng.integers(1, 5, size=2)
-        M = rng.integers(-5, 6, size=(m, n))
-        b = rng.integers(-5, 6, size=m)
-        x = intmat.solve(M, M @ rng.integers(-3, 4, size=n))
-        assert x is not None
-        # arbitrary rhs: either a solution or a certified failure
-        xs = intmat.solve(M, b)
-        if xs is not None:
-            assert (np.array(M, dtype=object) @ xs == np.array(b, dtype=object)).all()
-
-
 def test_solve_no_solution():
     assert intmat.solve([[2, 0], [0, 2]], [1, 0]) is None
     assert intmat.solve([[2, 4]], [3]) is None
     x = intmat.solve([[2, 4]], [6])
     assert x is not None and 2 * x[0] + 4 * x[1] == 6
-
-
-def test_kernel_saturated():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        m, n = rng.integers(1, 5, size=2)
-        M = np.array(rng.integers(-4, 5, size=(m, n)), dtype=object)
-        K = intmat.kernel_basis(M)
-        assert not np.any(M @ K)
-        # saturation: K extends to a basis, i.e. its invariant factors are 1
-        if K.shape[1]:
-            assert intmat.invariant_factors(K) == [1] * K.shape[1]
 
 
 def test_quotient_group_structure():
@@ -147,12 +124,12 @@ def test_row_echelon_mid_insertion_lift():
         assert all(int(a) == int(b) for a, b in zip(fast._rows[c], exact._rows[c]))
 
 
-def _matrices(max_entry):
-    return st.integers(1, 6).flatmap(
+def _matrices(max_entry, max_cols=6, max_rows=9):
+    return st.integers(1, max_cols).flatmap(
         lambda n: st.lists(
             st.lists(st.integers(-max_entry, max_entry), min_size=n, max_size=n),
             min_size=1,
-            max_size=9,
+            max_size=max_rows,
         )
     )
 
@@ -190,3 +167,94 @@ def _check_hermite(rows, batches, dtype):
         assert intmat.solve_many(A.T, B.T) is not None
     else:
         assert not np.any(A)
+
+
+# -- properties of the integer linear algebra ---------------------------------------------
+
+
+def _det(M):
+    """Leibniz determinant of a small square matrix, exact."""
+    n = len(M)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= M[i][perm[i]]
+        total += term
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices(12, max_cols=4, max_rows=4))
+def test_smith_invariants_are_gcds_of_minors(rows):
+    # d_1 | d_2 | ..., and d_1 * ... * d_k is the gcd of the k x k minors
+    diag = intmat.smith(rows)[0]
+    assert all(d > 0 for d in diag)
+    assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+    assert intmat.invariant_factors(rows) == diag
+    m, n = len(rows), len(rows[0])
+    for k in range(1, min(m, n) + 1):
+        minors = [
+            _det([[rows[i][j] for j in cols] for i in rs])
+            for rs in itertools.combinations(range(m), k)
+            for cols in itertools.combinations(range(n), k)
+        ]
+        assert math.gcd(*minors) == (math.prod(diag[:k]) if k <= len(diag) else 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices(9), st.data())
+def test_carry_matches_row_ops(rows, data):
+    # solve (which carries the right-hand side through Smith's row
+    # operations) round-trips A x, and any solution it returns is exact
+    A = np.array(rows, dtype=object)
+    n, m = A.shape[1], A.shape[0]
+    x = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    b = A @ np.array(x, dtype=object)
+    y = intmat.solve(A, b)
+    assert y is not None and (A @ y == b).all()
+    b = np.array(data.draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m)), dtype=object)
+    y = intmat.solve(A, b)
+    assert y is None or (A @ y == b).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices(9))
+def test_kernel_saturated(rows):
+    # A K = 0, K has n - rank(A) columns, and K extends to a basis of Z^n
+    A = np.array(rows, dtype=object)
+    K = intmat.kernel_basis(A)
+    assert K.shape == (A.shape[1], A.shape[1] - len(intmat.invariant_factors(A)))
+    assert not np.any(A @ K)
+    if K.shape[1]:
+        assert intmat.invariant_factors(K) == [1] * K.shape[1]
+
+
+def _lattice_pairs():
+    # two column bases of sublattices of Z^n, n <= 4
+    def basis(n, k):
+        return st.lists(st.lists(st.integers(-6, 6), min_size=k, max_size=k), min_size=n, max_size=n)
+
+    def pair(n):
+        return st.tuples(*[st.integers(1, 3).flatmap(lambda k: basis(n, k))] * 2)
+
+    return st.integers(1, 4).flatmap(pair)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lattice_pairs())
+def test_lattice_intersect_is_symmetric(pair):
+    B1, B2 = (np.array(B, dtype=object) for B in pair)
+    I12, I21 = intmat.lattice_intersect(B1, B2), intmat.lattice_intersect(B2, B1)
+    assert I12.shape == I21.shape and (I12 == I21).all()
+    for B in (B1, B2):
+        assert intmat.solve_many(B, I12) is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 400), max_size=6))
+def test_finab_from_factors_is_idempotent(orders):
+    g = FinAb.from_factors(orders)
+    assert FinAb.from_factors(g.factors) == g
+    assert g.order == math.prod(orders)

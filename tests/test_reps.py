@@ -328,7 +328,7 @@ def test_bridge_bc_equals_group_conditions():
             if r is not None and p * p * n <= 512:
                 cases.append(r)
     cases.append(s3_standard_rep(5))
-    assert cases
+    assert len(cases) >= 5
     for rep in cases:
         G, H, S = build_semidirect(rep)
         conds = p_part_conditions(G, H, rep.p)
