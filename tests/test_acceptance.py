@@ -3,11 +3,15 @@ battery, each under its time limit.  `pytest tests/test_acceptance.py -s`
 prints one PASS line per check with its runtime.
 
 The criteria are stated in `normone.selftest.CHECKS`; this file only says
-which criterion each check is and how long it may take.  Criterion 8 is
-`test_reps.py::test_bridge_bc_equals_group_conditions`.
+which criterion each check is and how long it may take.  Criterion 8, the
+plane-condition bridge, is stated in
+`test_reps.py::test_bridge_bc_equals_group_conditions` and run here under its
+time limit.
 """
 
 import time
+
+from test_reps import test_bridge_bc_equals_group_conditions as _bridge
 
 from normone import selftest
 from normone.cohomology import DEFAULT_COCHAIN_BUDGET
@@ -45,6 +49,14 @@ def _criterion_test(name, k, limit):
 # one named test per criterion, so that each keeps its id across runs
 for _name, (_k, _test_name, _limit) in CRITERIA.items():
     globals()[f"test_criterion_{_k:02d}_{_test_name}"] = _criterion_test(_name, _k, _limit)
+
+
+def test_criterion_08_bridge():
+    t0 = time.monotonic()
+    _bridge()
+    elapsed = time.monotonic() - t0
+    assert elapsed < 120, f"criterion 8 exceeded its 120s limit ({elapsed:.1f}s)"
+    print(f"criterion 8 (plane-condition bridge): PASS in {elapsed:.1f}s")
 
 
 def test_every_battery_check_is_a_criterion():
