@@ -16,8 +16,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .errors import (
     BudgetExceeded,
     CertificateUnavailable,
@@ -33,7 +31,7 @@ from .errors import (
 )
 from .groups import (
     GroupSpec,
-    _det_mod_p,
+    _rank_mod_p,
     build_group,
     is_prime,
     subgroup_closure,
@@ -112,7 +110,7 @@ def _validate_spec_dict(doc):
         for M in payload["matrices"]:
             if len(M) != m or any(len(row) != m for row in M):
                 raise SchemaError(f"action matrix must be {m}x{m}")
-            if _det_mod_p(np.asarray(M, dtype=np.int64) % p, p) == 0:
+            if _rank_mod_p(M, p) < m:
                 raise SchemaError("action matrix is not invertible mod p")
         payload["acting"] = _validate_spec_dict(payload["acting"]).to_dict()
     elif kind == "product":
@@ -129,7 +127,7 @@ def resolve_subgroup(G, text):
         return subgroup_closure(G, list(G.elements()))
     if text.startswith("sylow:"):
         prime = text[len("sylow:"):].strip()
-        if not prime.isdecimal():
+        if not prime.isdecimal() or len(prime) > 19 or not _is_int(int(prime)):
             raise SchemaError(f"bad Sylow prime in {text!r}")
         return sylow_subgroup(G, int(prime))
     try:
@@ -380,6 +378,10 @@ def run(argv):
         "selftest": cmd_selftest,
     }
     try:
+        for name in ("p", "ell"):  # the range of spec integers, positive
+            value = getattr(args, name, None)
+            if value is not None and not _is_int(value, 1):
+                raise SchemaError(f"--{name} must lie in [1, 2^63), got {value}")
         out = handlers[args.verb](args)
         if isinstance(out, tuple):
             report, code = out

@@ -1,13 +1,14 @@
 """Brute-force integer group cohomology on the Cayley-graph presentation complex.
 
-Degrees 0, 1, 2 only.  A breadth-first spanning tree of the Cayley graph of
-G on its generators s_1..s_k gives a presentation with one relator
-w(g) s_i w(g s_i)^{-1} per non-tree edge (g, i), w(g) being the tree word of
-g (Brown, *Cohomology of Groups*, ch. II-IV).  So C^1 = M^k, C^2 = M^R with
-R = nk - n + 1, d^0 m = (s_i m - m)_i, and by Fox calculus
-(d^1 f)(g, i) = P_g f + g f_i - P_{g s_i} f, where P_1 = 0 and
-P_{g s_i} = P_g + g [block i] along tree edges.  H^j is the torsion of
-coker(d^{j-1}): Z^j is saturated and Z^j/B^j is finite, so no d^2 is needed.
+Degrees 0, 1, 2 only.  The breadth-first spanning tree `G.cayley_tree` of
+the Cayley graph of G on its generators s_1..s_k gives a presentation with
+one relator w(g) s_i w(g s_i)^{-1} per non-tree edge (g, i), w(g) being
+the tree word of g (Brown, *Cohomology of Groups*, ch. II-IV).  So
+C^1 = M^k, C^2 = M^R with R = nk - n + 1, d^0 m = (s_i m - m)_i, and by
+Fox calculus (d^1 f)(g, i) = P_g f + g f_i - P_{g s_i} f, where P_1 = 0
+and P_{g s_i} = P_g + g [block i] along tree edges.  H^j is the torsion
+of coker(d^{j-1}): Z^j is saturated and Z^j/B^j is finite, so no d^2 is
+needed.
 
 Explicit generating cocycles come out of the Smith transform: if
 U A V = D, the columns (A V e_i)/d_i are integral cocycles whose classes
@@ -46,65 +47,49 @@ def _check_budget(G, rank, degree, budget):
         )
 
 
-class _Presentation:
-    """A breadth-first spanning tree of the Cayley graph of G on G.gens.
+def _coboundary0(M):
+    """d^0 as a (k r, r) int64 matrix of the blocks s_i - 1 (one zero block if k = 0)."""
+    G = M.group
+    eye = np.eye(M.rank, dtype=np.int64)
+    return np.vstack([M.act[s] - eye for s in G.gens or (G.identity,)])
 
-    `tree` lists the edges (g, i, g s_i) that first reach a vertex, in
-    breadth-first order from the identity; `rel_g`, `rel_i` index the other
-    edges, one relator each, in (g, i) order.
-    """
 
-    def __init__(self, G):
-        self.group = G
-        self.gens = np.array(G.gens, dtype=np.int64)
-        self.k = len(G.gens)
-        on_tree = np.zeros((G.order, self.k), dtype=bool)
-        self.tree = []
-        queue, seen = [G.identity], {G.identity}
-        for g in queue:
-            for i, s in enumerate(G.gens):
-                h = int(G.mul[g, s])
-                if h not in seen:
-                    seen.add(h)
-                    queue.append(h)
-                    on_tree[g, i] = True
-                    self.tree.append((g, i, h))
-        self.rel_g, self.rel_i = np.nonzero(~on_tree)
+def _coboundary1(M):
+    """Dense d^1 as an (R r, k r) int64 matrix."""
+    G, r, k = M.group, M.rank, len(M.group.gens)
+    tree, rg, ri = G.cayley_tree
+    P = np.zeros((G.order, r, k * r), dtype=np.int64)
+    for g, i, h in tree:
+        P[h] = P[g]
+        P[h, :, i * r:(i + 1) * r] += M.act[g]
+    d1 = P[rg] - P[G.mul[rg, np.array(G.gens)[ri]]]
+    for i in range(k):
+        sel = ri == i
+        d1[sel, :, i * r:(i + 1) * r] += M.act[rg[sel]]
+    return d1.reshape(-1, k * r)
 
-    def coboundary1(self, M):
-        """Dense d^1 as an (R r, k r) int64 matrix."""
-        G, r, k = self.group, M.rank, self.k
-        P = np.zeros((G.order, r, k * r), dtype=np.int64)
-        for g, i, h in self.tree:
-            P[h] = P[g]
-            P[h, :, i * r:(i + 1) * r] += M.act[g]
-        rg, ri = self.rel_g, self.rel_i
-        d1 = P[rg] - P[G.mul[rg, self.gens[ri]]]
-        for i in range(k):
-            sel = ri == i
-            d1[sel, :, i * r:(i + 1) * r] += M.act[rg[sel]]
-        return d1.reshape(-1, k * r)
 
-    def bar_table(self, z):
-        """The bar 2-cochain of relator values z, shape (R, r) -> (n, n, r)."""
-        G = self.group
-        if _maxabs(z) * G.order < 2**31:  # a walk crosses < n edges; the
-            z = z.astype(np.int64)  # cocycle check's g.c(s, h) stays in int64
-        edge = np.zeros((G.order, self.k) + z.shape[1:], dtype=z.dtype)
-        edge[self.rel_g, self.rel_i] = z
-        c = np.zeros((G.order, G.order) + z.shape[1:], dtype=z.dtype)
-        for g, i, h in self.tree:
-            c[:, h] = c[:, g] + edge[G.mul[:, g], i]
-        return c
+def _bar_table(G, z):
+    """The bar 2-cochain of relator values z, shape (R, r) -> (n, n, r)."""
+    tree, rg, ri = G.cayley_tree
+    if _maxabs(z) * G.order < 2**31:  # a walk crosses < n edges; the
+        z = z.astype(np.int64)  # cocycle check's g.c(s, h) stays in int64
+    edge = np.zeros((G.order, len(G.gens)) + z.shape[1:], dtype=z.dtype)
+    edge[rg, ri] = z
+    c = np.zeros((G.order, G.order) + z.shape[1:], dtype=z.dtype)
+    for g, i, h in tree:
+        c[:, h] = c[:, g] + edge[G.mul[:, g], i]
+    return c
 
-    def relator_values(self, c):
-        """Relator values Phi(w(g) s_i) - Phi(w(g s_i)) of a bar 2-cochain."""
-        G = self.group
-        U = np.zeros((G.order,) + c.shape[2:], dtype=c.dtype)  # U(g) = Phi(w(g))
-        for g, i, h in self.tree:
-            U[h] = U[g] + c[g, self.gens[i]]
-        rg, rs = self.rel_g, self.gens[self.rel_i]
-        return U[rg] + c[rg, rs] - U[G.mul[rg, rs]]
+
+def _relator_values(G, c):
+    """Relator values Phi(w(g) s_i) - Phi(w(g s_i)) of a bar 2-cochain."""
+    tree, rg, ri = G.cayley_tree
+    U = np.zeros((G.order,) + c.shape[2:], dtype=c.dtype)  # U(g) = Phi(w(g))
+    for g, i, h in tree:
+        U[h] = U[g] + c[g, G.gens[i]]
+    rs = np.array(G.gens)[ri]
+    return U[rg] + c[rg, rs] - U[G.mul[rg, rs]]
 
 
 def _bar_coboundary(M, b):
@@ -160,11 +145,7 @@ class CohomologyGroup:
 
 def fixed_sublattice(M):
     """Basis (columns) of M^G, the fixed sublattice."""
-    G, r = M.group, M.rank
-    eye = np.eye(r, dtype=np.int64)
-    gens = list(G.gens) or [G.identity]
-    stacked = np.vstack([M.act[s] - eye for s in gens])
-    return intmat.kernel_basis(stacked)
+    return intmat.kernel_basis(_coboundary0(M))
 
 
 def _torsion_with_generators(A, image):
@@ -213,19 +194,17 @@ def cohomology(G, M, degree, budget=DEFAULT_COCHAIN_BUDGET):
         return CohomologyGroup(degree, G, M, structure=FinAb.trivial())
 
     if degree == 1:
-        eye = np.eye(r, dtype=np.int64)
-        d0 = np.vstack([M.act[s] - eye for s in G.gens])
         # the crossed homomorphism g |-> (g - 1) w / d extends (d^0 w) / d
-        orders, vecs = _torsion_with_generators(d0, (M.act - eye).reshape(-1, r))
+        eye = np.eye(r, dtype=np.int64)
+        orders, vecs = _torsion_with_generators(_coboundary0(M), (M.act - eye).reshape(-1, r))
         gens = [v.reshape(G.order, r) for v in vecs]
         return CohomologyGroup(1, G, M, structure=FinAb(tuple(orders)), generators=gens)
 
-    pres = _Presentation(G)
-    d1 = pres.coboundary1(M)
+    d1 = _coboundary1(M)
     orders, vecs = _torsion_with_generators(d1, d1)
     gens = []
     for v in vecs:
-        c = pres.bar_table(v.reshape(-1, r))
+        c = _bar_table(G, v.reshape(-1, r))
         if cocycle2_defect(M, c):
             raise ArithmeticError("extracted generator is not a cocycle")
         gens.append(c)
@@ -260,14 +239,13 @@ def is_coboundary(D, M, c):
         ok = not np.any(c)
         return ok, (np.zeros((sub.order, r), dtype=object) if ok else None)
     c = np.array(c, dtype=object)
-    pres = _Presentation(sub)
-    f = intmat.solve(pres.coboundary1(RM), pres.relator_values(c).reshape(-1))
+    f = intmat.solve(_coboundary1(RM), _relator_values(sub, c).reshape(-1))
     if f is None:
         return False, None
-    f = f.reshape(pres.k, r)
+    f = f.reshape(len(sub.gens), r)
     b = np.zeros((sub.order, r), dtype=object)
-    for g, i, h in pres.tree:
-        b[h] = RM.act[g] @ f[i] + b[g] - c[g, pres.gens[i]]
+    for g, i, h in sub.cayley_tree[0]:
+        b[h] = RM.act[g] @ f[i] + b[g] - c[g, sub.gens[i]]
     if np.any(_bar_coboundary(RM, b) != c):  # c is not even a cocycle
         return False, None
     return True, b
@@ -387,12 +365,12 @@ def sha(G, M, dset, budget=DEFAULT_COCHAIN_BUDGET):
             RM = restrict(M, D)
             # D's own presentation complex: the relator values of the
             # restricted generators against D's d^1
-            pres = _Presentation(RM.group)
             C = np.stack(
-                [pres.relator_values(restriction_class(c, D)).reshape(-1) for c in base.generators],
+                [_relator_values(RM.group, restriction_class(c, D)).reshape(-1)
+                 for c in base.generators],
                 axis=1,
             )
-            combined = np.hstack([C, pres.coboundary1(RM).astype(object)])
+            combined = np.hstack([C, _coboundary1(RM).astype(object)])
             K = intmat.kernel_basis(combined)
             cond = intmat.column_lattice_basis(K[:kcount, :])
         lattice = intmat.lattice_intersect(lattice, cond)

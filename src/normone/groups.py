@@ -24,17 +24,37 @@ from .finab import FinAb
 from . import intmat
 
 DEFAULT_ORDER_BUDGET = 512
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318_665_857_834_031_151_167_461
 
 
 def is_prime(p):
+    """Exact primality below 3.1e23 (so for every int64): Miller-Rabin on 2..37.
+
+    The bound is the least strong pseudoprime to all twelve bases (OEIS
+    A014233; Sorenson and Webster, Math. Comp. 2017).
+    """
     p = int(p)
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    if p >= _MR_EXACT_BELOW:
+        raise ValueError(f"primality of {p} is not decided exactly")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -61,7 +81,7 @@ class GroupSpec:
 class FiniteGroup:
     """Explicit finite group: multiplication table plus element indexing."""
 
-    __slots__ = ("order", "mul", "inv", "identity", "label", "gens", "_orders", "_abelian")
+    __slots__ = ("order", "mul", "inv", "identity", "label", "gens", "_orders", "_abelian", "_tree")
 
     def __init__(self, mul, identity, label="", gens=None, validate=True):
         mul = np.asarray(mul, dtype=np.int64)
@@ -73,6 +93,7 @@ class FiniteGroup:
         self.label = label
         self._orders = None
         self._abelian = None
+        self._tree = None
         inv = np.full(self.order, -1, dtype=np.int64)
         for g in range(self.order):
             hits = np.flatnonzero(mul[g] == self.identity)
@@ -102,8 +123,8 @@ class FiniteGroup:
         Exact: the elements s passing it are closed under products, and
         every element is a product of the generators.
         """
-        mul, e = self.mul, self.identity
-        if len(closure_elements(mul, e, self.gens)) != self.order:
+        mul = self.mul
+        if len(self.cayley_tree[0]) != self.order - 1:
             raise SpecInvalid("the generators do not generate the table")
         for s in self.gens:
             if not (mul[mul[:, s], :] == mul[:, mul[s, :]]).all():
@@ -146,6 +167,30 @@ class FiniteGroup:
                 orders[g] = k
             self._orders = orders
         return self._orders
+
+    @property
+    def cayley_tree(self):
+        """A breadth-first spanning tree of the Cayley graph on `gens`.
+
+        Returns (tree, rel_g, rel_i): `tree` lists the edges (g, i, g s_i)
+        that first reach a vertex, in breadth-first order from the identity;
+        `rel_g`, `rel_i` index the other edges in (g, i) order.  Each of
+        those gives the relator w(g) s_i w(g s_i)^{-1} of a presentation of
+        the group, w(g) being the tree word of g.
+        """
+        if self._tree is None:
+            on_tree = np.zeros((self.order, len(self.gens)), dtype=bool)
+            tree, queue, seen = [], [self.identity], {self.identity}
+            for g in queue:
+                for i, s in enumerate(self.gens):
+                    h = int(self.mul[g, s])
+                    if h not in seen:
+                        seen.add(h)
+                        queue.append(h)
+                        on_tree[g, i] = True
+                        tree.append((g, i, h))
+            self._tree = (tree, *np.nonzero(~on_tree))
+        return self._tree
 
     @property
     def is_abelian(self):
@@ -406,50 +451,32 @@ def double_cosets(G, D, H):
 def abelianization(G):
     """(G/[G,G] in invariant-factor form, per-element coordinate tuples).
 
-    The relation lattice of the abelianized group is read off the Cayley
-    graph: every edge g -> g*s yields the relation w(g) + e_s - w(g*s) in
-    Z^gens, and these generate the kernel of Z^gens -> G^ab.
+    The relation lattice is read off `G.cayley_tree`: the relator of each
+    non-tree edge (g, i) abelianizes to w(g) + e_i - w(g s_i) in Z^gens,
+    w(g) counting the generators on the tree path to g.  These are the rows
+    of d^1 for the trivial module Z, and they generate the kernel of
+    Z^gens -> G^ab.
     """
-    gens = list(G.gens)
-    k = len(gens)
+    k = len(G.gens)
     if k == 0:
         return FinAb.trivial(), [()] * G.order
-    words = np.zeros((G.order, k), dtype=object)
-    seen = np.zeros(G.order, dtype=bool)
-    seen[G.identity] = True
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for i, s in enumerate(gens):
-                h = int(G.mul[g, s])
-                if not seen[h]:
-                    seen[h] = True
-                    words[h] = words[g].copy()
-                    words[h][i] += 1
-                    nxt.append(h)
-        frontier = nxt
-    relations = []
-    for g in G.elements():
-        for i, s in enumerate(gens):
-            h = int(G.mul[g, s])
-            rel = words[g].copy()
-            rel[i] += 1
-            rel -= words[h]
-            if np.any(rel):
-                relations.append(rel)
-    if not relations:
+    tree, rel_g, rel_i = G.cayley_tree
+    words = np.zeros((G.order, k), dtype=np.int64)
+    for g, i, h in tree:
+        words[h] = words[g]
+        words[h, i] += 1
+    rel = words[rel_g] - words[G.mul[rel_g, np.array(G.gens)[rel_i]]]
+    rel[np.arange(len(rel_i)), rel_i] += 1
+    R = rel[rel.any(axis=1)].T.astype(object)  # columns are relations
+    if R.shape[1] == 0:
         raise SpecInvalid("nontrivial finite group with free abelianization")
-    R = np.array(relations, dtype=object).T  # columns are relations
     diag, _, _, U = intmat.smith(R, carry=np.eye(k, dtype=object))
     if len(diag) != k:
         raise SpecInvalid("abelianization is not finite")
     kept = [(i, d) for i, d in enumerate(diag) if d > 1]
     structure = FinAb(tuple(d for _, d in kept))
-    proj = []
-    for g in G.elements():
-        y = U @ words[g]
-        proj.append(tuple(int(y[i]) % d for i, d in kept))
+    Y = U @ words.T.astype(object)
+    proj = [tuple(int(Y[i, g]) % d for i, d in kept) for g in G.elements()]
     return structure, proj
 
 
@@ -527,61 +554,47 @@ def all_subgroups(G, max_count=100000):
 def extend_from_generators(G, images, compose, identity_image, eq=None):
     """Extend gens[i] |-> images[i] to a homomorphism on all of G.
 
-    Walks the Cayley graph, defining f(g*s) = f(g) o f(s), then checks
-    consistency on every edge, which forces the homomorphism property on
-    all pairs.  Returns the per-element image list, or None if the
-    assignment is not a homomorphism.
+    Defines f(g s_i) = f(g) o f(s_i) along the edges of `G.cayley_tree`,
+    then checks that identity on the other edges, the relators.  Tree edges
+    satisfy it by construction, so it then holds on every edge, which
+    forces the homomorphism property on all pairs.  Returns the per-element
+    image list, or None if the assignment is not a homomorphism.
     """
     if eq is None:
         eq = lambda a, b: a == b
-    gens = list(G.gens)
-    if len(images) != len(gens):
+    if len(images) != len(G.gens):
         raise ValueError("one image per canonical generator required")
-    if not gens:
-        return [identity_image] if G.order == 1 else None
+    tree, rel_g, rel_i = G.cayley_tree
     f = [None] * G.order
     f[G.identity] = identity_image
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s, img in zip(gens, images):
-                h = int(G.mul[g, s])
-                if f[h] is None:
-                    f[h] = compose(f[g], img)
-                    nxt.append(h)
-        frontier = nxt
-    for g in G.elements():
-        for s, img in zip(gens, images):
-            h = int(G.mul[g, s])
-            if not eq(f[h], compose(f[g], img)):
-                return None
+    for g, i, h in tree:
+        f[h] = compose(f[g], images[i])
+    for g, i in zip(rel_g.tolist(), rel_i.tolist()):
+        if not eq(f[G.mul[g, G.gens[i]]], compose(f[g], images[i])):
+            return None
     return f
 
 
 # -- group construction ------------------------------------------------------
 
 
-def _det_mod_p(M, p):
-    M = np.array(M, dtype=np.int64) % p
-    m = M.shape[0]
-    det = 1
-    for c in range(m):
-        piv = None
-        for r in range(c, m):
-            if M[r, c] % p:
-                piv = r
-                break
+def _rank_mod_p(rows, p):
+    """Rank over F_p of an integer matrix given by its rows, in Python ints."""
+    rows = [[int(x) % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if piv is None:
-            return 0
-        if piv != c:
-            M[[c, piv]] = M[[piv, c]]
-            det = -det
-        det = det * int(M[c, c]) % p
-        inv = pow(int(M[c, c]), p - 2, p)
-        for r in range(c + 1, m):
-            M[r] = (M[r] - int(M[r, c]) * inv * M[c]) % p
-    return det % p
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        inv = pow(top[c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                t = rows[i][c] * inv
+                rows[i] = [(a - t * b) % p for a, b in zip(rows[i], top)]
+        rank += 1
+    return rank
 
 
 def _parse_cycles(text, degree):
@@ -704,6 +717,12 @@ def index_vector(num, p, m):
     return np.array([(num // p**i) % p for i in range(m)], dtype=np.int64)
 
 
+def _check_semidirect_order(p, m, nq, order_budget):
+    # p >= 2, so an m of the budget's bit length already exceeds it: p**m stays small
+    if m >= order_budget.bit_length() or p**m * nq > order_budget:
+        raise OrderBudgetExceeded(f"semidirect order {p}^{m}*{nq} exceeds budget {order_budget}")
+
+
 def semidirect_from_action(p, m, acting, action, label="", order_budget=DEFAULT_ORDER_BUDGET):
     """V ⋊ Q for V = F_p^m given one invertible action matrix per element of Q.
 
@@ -713,11 +732,8 @@ def semidirect_from_action(p, m, acting, action, label="", order_budget=DEFAULT_
     p, m = int(p), int(m)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    _check_semidirect_order(p, m, acting.order, order_budget)
     pm = p**m
-    if pm * acting.order > order_budget:
-        raise OrderBudgetExceeded(
-            f"semidirect order {pm * acting.order} exceeds budget {order_budget}"
-        )
     vecs = np.array([index_vector(i, p, m) for i in range(pm)]).reshape(pm, m)
     weights = p ** np.arange(m)
     nq = acting.order
@@ -739,12 +755,13 @@ def semidirect_product(p, m, acting, matrices, label="", order_budget=DEFAULT_OR
     p, m = int(p), int(m)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    _check_semidirect_order(p, m, acting.order, order_budget)
     mats = []
     for M in matrices:
         M = np.asarray(M, dtype=np.int64) % p
         if M.shape != (m, m):
             raise SpecInvalid(f"action matrix must be {m}x{m}")
-        if _det_mod_p(M, p) == 0:
+        if _rank_mod_p(M.tolist(), p) < m:
             raise SpecInvalid("action matrix is singular mod p")
         mats.append(M)
     if len(mats) != len(acting.gens):

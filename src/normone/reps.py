@@ -30,6 +30,7 @@ from .finab import _factorize
 from .groups import (
     FiniteGroup,
     SubgroupHandle,
+    _rank_mod_p,
     all_subgroups,
     build_group,
     closure_elements,
@@ -191,7 +192,8 @@ def s_min(p):
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     formula = 4 if p == 2 else 3 * p
-    scanned = next(d for d in range(1, formula + 1) if d_membership(d, p).in_S)
+    # S lies inside pZ, so only multiples of p can be members
+    scanned = next(d for d in range(p, formula + 1, p) if d_membership(d, p).in_S)
     if scanned != formula:
         raise ArithmeticError(f"membership scan disagrees with closed form at p={p}")
     return formula
@@ -267,29 +269,8 @@ class RepTwoDim:
 
 def fixed_space_dim(mats, gens, p):
     """Dimension over F_p of the common fixed space of the generator matrices."""
-    rows = []
-    for s in gens:
-        rows.extend(((np.asarray(mats[s]) - np.eye(2, dtype=np.int64)) % p).tolist())
-    A = np.array(rows, dtype=np.int64) % p
-    # rank over F_p by Gaussian elimination
-    cols = A.shape[1]
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, A.shape[0]):
-            if A[i, c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), p - 2, p) if p > 2 else int(A[r, c])
-        A[r] = A[r] * inv % p
-        for i in range(A.shape[0]):
-            if i != r and A[i, c] % p:
-                A[i] = (A[i] - A[i, c] * A[r]) % p
-        r += 1
-    return cols - r
+    eye = np.eye(2, dtype=np.int64)
+    return 2 - _rank_mod_p([row for s in gens for row in (mats[s] - eye).tolist()], p)
 
 
 def check_bc(rep):

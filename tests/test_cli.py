@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import time
 from unittest import mock
 
 import pytest
@@ -130,6 +131,9 @@ def test_dset_verb(capsys):
     rows = {r["d"]: r for r in report["results"]["table"]}
     assert rows[55]["in_D1"] is True
     assert report["results"]["s_min"] == 33
+    code, report = run_capture(capsys, ["dset", "--p", "1000003", "--max", "5"])
+    assert code == EXIT_OK
+    assert report["results"]["s_min"] == 3000009
 
 
 def test_classify_verb(capsys):
@@ -178,6 +182,9 @@ def test_selftest_quick(capsys):
 
 TRIVIAL_TABLE = {"kind": "table", "n": 1, "mul": [[0]]}
 SEMIDIRECT_BAD_P = {"kind": "semidirect", "p": "x", "m": 2, "matrices": [], "acting": TRIVIAL_TABLE}
+Z2 = json.dumps(cyclic_spec(2))
+BIG_PRIME = "1000000000000000003"
+INT64_PRIME = 2**63 - 25  # the largest prime below 2^63
 
 
 def _sha_argv(spec, *extra):
@@ -193,10 +200,24 @@ def _sha_argv(spec, *extra):
         (_sha_argv({"kind": "permutations", "degree": 3, "generators": 5}), "SchemaError", EXIT_PARSE),
         (_sha_argv(a4_shape_spec(2), "--subgroup", "sylow:x"), "SchemaError", EXIT_PARSE),
         (["scan-reps", "--p", "5", "--n", "-2"], "PreconditionFailed", EXIT_HYPOTHESIS),
+        # huge integers are decided or rejected at once, never ground through
+        (["sha", "--group", Z2, "--p", BIG_PRIME], "HypothesisViolated", EXIT_HYPOTHESIS),
+        (["sha", "--group", Z2, "--subgroup", f"sylow:{BIG_PRIME}", "--p", BIG_PRIME],
+         "HypothesisViolated", EXIT_HYPOTHESIS),
+        (["sha", "--group", Z2, "--p", "0"], "SchemaError", EXIT_PARSE),
+        (["sha", "--group", Z2, "--p", str(2**63)], "SchemaError", EXIT_PARSE),
+        (["sha", "--group", Z2, "--subgroup", f"sylow:{2**63 + 1}", "--p", "2"],
+         "SchemaError", EXIT_PARSE),
+        (["witness", "--p", "5", "--variant", "ii", "--ell", str(-7)], "SchemaError", EXIT_PARSE),
+        (_sha_argv(dict(SEMIDIRECT_BAD_P, p=INT64_PRIME, matrices=[[[2, 3], [5, 7]]],
+                        acting=cyclic_spec(2))), "OrderBudgetExceeded", EXIT_BUDGET),
+        (_sha_argv(dict(SEMIDIRECT_BAD_P, p=2, m=10**9)), "OrderBudgetExceeded", EXIT_BUDGET),
     ],
 )
 def test_malformed_input_exits_with_typed_error(capsys, argv, error, code):
+    start = time.perf_counter()
     got, report = run_capture(capsys, argv)
+    assert time.perf_counter() - start < 1.0
     assert got == code
     assert report["error"]["type"] == error
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from normone.catalog import (
     a4_shape_spec,
@@ -27,8 +29,10 @@ from normone.groups import (
     cyclic_subgroups,
     derived_subgroup,
     double_cosets,
+    extend_from_generators,
     full_subgroup,
     index_vector,
+    is_prime,
     normalizer_centralizer,
     semidirect_from_action,
     subgroup_closure,
@@ -37,6 +41,7 @@ from normone.groups import (
     vector_index,
 )
 from normone.reps import s3_standard_rep
+from normone.structure import composite_sha_witness
 
 
 def s3():
@@ -328,14 +333,21 @@ def test_abelianization():
         assert ab == FinAb.cyclic(n)
     ab, _ = abelianization(quaternion8())
     assert ab == FinAb((2, 2))
-    # projection is a homomorphism onto the stated group
-    G = a4()
+
+
+@pytest.mark.parametrize(
+    "G",
+    [catalog_group(n) for n in catalog_names()]
+    + [build_group(a4_shape_spec(5)), build_group(beta_shape_spec(5)),
+       build_group(composite_sha_witness(2, "i")[0])],
+    ids=lambda G: G.label,
+)
+def test_abelianization_is_a_surjective_homomorphism(G):
     ab, proj = abelianization(G)
-    for a in G.elements():
-        for b in G.elements():
-            s = tuple((x + y) % d for x, y, d in zip(proj[a], proj[b], ab.factors))
-            assert s == proj[int(G.mul[a, b])]
-    assert len(set(proj)) == ab.order
+    P = np.array(proj, dtype=np.int64).reshape(G.order, len(ab.factors))
+    factors = np.array(ab.factors, dtype=np.int64)
+    assert ((P[:, None, :] + P[None, :, :]) % factors == P[G.mul]).all()
+    assert len(set(proj)) == ab.order == G.order // derived_subgroup(G).order
 
 
 def test_complement_examples():
@@ -389,3 +401,39 @@ def test_normal_sylow_with_trivial_core_is_elementary():
 
 def _is_prime(n):
     return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [is_prime(n) for n in range(10**5 + 1)] == [_is_prime(n) for n in range(10**5 + 1)]
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7
+    for n in (561, 3215031751):
+        assert not is_prime(n) and not _is_prime(n)
+    assert is_prime(2**61 - 1)  # a Mersenne prime, past reach of trial division here
+    # the least strong pseudoprime to all twelve bases is beyond the exact range
+    with pytest.raises(ValueError):
+        is_prime(399165290221 * 798330580441)
+
+
+# -- extension along the Cayley tree -----------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(catalog_names()), st.sampled_from(catalog_names()),
+       st.lists(st.integers(0, 23), min_size=3, max_size=3))
+@example("Z3", "Z2", [1, 0, 0])  # s -> the involution: only the edge s^2 . s = 1 fails
+def test_extend_from_generators_matches_all_pairs(gname, tname, picks):
+    G, T = catalog_group(gname), catalog_group(tname)
+    images = [x % T.order for x in picks[: len(G.gens)]]
+    got = extend_from_generators(G, images, lambda a, b: int(T.mul[a, b]), T.identity)
+    # the map defined along the tree, checked on all pairs (g, h)
+    tree, rel_g, rel_i = G.cayley_tree
+    f = np.full(G.order, T.identity)
+    for g, i, h in tree:
+        f[h] = T.mul[f[g], images[i]]
+    if (f[G.mul] == T.mul[np.ix_(f, f)]).all():
+        assert got == f.tolist()
+    else:
+        assert got is None
+        # tree edges hold by construction, so some relator edge fails
+        s_i, img_i = np.array(G.gens)[rel_i], np.array(images)[rel_i]
+        assert (f[G.mul[rel_g, s_i]] != T.mul[f[rel_g], img_i]).any()
