@@ -154,6 +154,18 @@ def _budget():
     return int(env) if env else DEFAULT_COCHAIN_BUDGET
 
 
+def _report(command, inputs, results, warnings=(), budgets=None, timing=None, **provenance):
+    """The envelope every successful command emits around its results."""
+    return {
+        "command": command,
+        "inputs": inputs,
+        "inputs_digest": _digest(inputs),
+        "results": results,
+        "warnings": list(warnings),
+        "provenance": {**provenance, "budgets": budgets or {}, "timing": timing or {}},
+    }
+
+
 def _finab_json(f):
     return None if f is None else f.to_list()
 
@@ -193,18 +205,8 @@ def cmd_sha(args):
         },
         "p_restriction_check": _finab_json(rep.p_restriction_check),
     }
-    return {
-        "command": "sha",
-        "inputs": inputs,
-        "inputs_digest": _digest(inputs),
-        "results": results,
-        "warnings": rep.warnings,
-        "provenance": {
-            "method": args.method,
-            "budgets": {"cochain": _budget()},
-            "timing": rep.timing,
-        },
-    }
+    return _report("sha", inputs, results, warnings=rep.warnings, budgets={"cochain": _budget()},
+                   timing=rep.timing, method=args.method)
 
 
 def cmd_scan_reps(args):
@@ -227,14 +229,7 @@ def cmd_scan_reps(args):
         "complete": report.complete,
         "degree_flags": _membership_json(d_membership(args.p * args.n, args.p)),
     }
-    return {
-        "command": "scan-reps",
-        "inputs": inputs,
-        "inputs_digest": _digest(inputs),
-        "results": results,
-        "warnings": [],
-        "provenance": {"budgets": report.budget, "timing": {}},
-    }
+    return _report("scan-reps", inputs, results, budgets=report.budget)
 
 
 def _membership_json(m):
@@ -253,14 +248,7 @@ def cmd_dset(args):
     inputs = {"p": args.p, "max": args.max}
     rows = [_membership_json(d_membership(d, args.p)) for d in range(1, args.max + 1)]
     results = {"table": rows, "s_min": s_min(args.p)}
-    return {
-        "command": "dset",
-        "inputs": inputs,
-        "inputs_digest": _digest(inputs),
-        "results": results,
-        "warnings": [],
-        "provenance": {"budgets": {}, "timing": {}},
-    }
+    return _report("dset", inputs, results)
 
 
 def cmd_classify(args):
@@ -270,14 +258,7 @@ def cmd_classify(args):
     inputs = {"group": spec.to_dict(), "subgroup": args.subgroup}
     c = classify_two_prime_index(G, H)
     results = {"kind": c.kind, "p": c.p, "display": str(c)}
-    return {
-        "command": "classify",
-        "inputs": inputs,
-        "inputs_digest": _digest(inputs),
-        "results": results,
-        "warnings": [],
-        "provenance": {"budgets": {}, "timing": {}},
-    }
+    return _report("classify", inputs, results)
 
 
 def cmd_witness(args):
@@ -294,14 +275,7 @@ def cmd_witness(args):
         "index": H.index,
         "prediction": prediction.to_list(),
     }
-    return {
-        "command": "witness",
-        "inputs": inputs,
-        "inputs_digest": _digest(inputs),
-        "results": results,
-        "warnings": [],
-        "provenance": {"budgets": {}, "timing": {}},
-    }
+    return _report("witness", inputs, results)
 
 
 def cmd_selftest(args):
@@ -314,14 +288,8 @@ def cmd_selftest(args):
         "passed": sum(1 for _, ok, _ in checks if ok),
         "failed": sum(1 for _, ok, _ in checks if not ok),
     }
-    report = {
-        "command": "selftest",
-        "inputs": inputs,
-        "inputs_digest": _digest(inputs),
-        "results": results,
-        "warnings": [],
-        "provenance": {"budgets": {"cochain": _budget()}, "timing": {"total": elapsed}},
-    }
+    report = _report("selftest", inputs, results,
+                     budgets={"cochain": _budget()}, timing={"total": elapsed})
     return report, EXIT_OK if results["failed"] == 0 else EXIT_HYPOTHESIS
 
 

@@ -598,11 +598,14 @@ def _rank_mod_p(rows, p):
 
 
 def _parse_cycles(text, degree):
-    """Parse one-line cycle notation like "(1 2 3)(4 5)" (1-based points)."""
-    perm = list(range(degree))
+    """Parse one-line cycle notation like "(1 2 3)(4 5)" (1-based points).
+
+    Returns the permutation as a dict on the 0-based points it moves.
+    """
+    perm = {}
     text = text.strip()
     if text in ("", "()", "e", "id"):
-        return tuple(perm)
+        return perm
     depth = 0
     cycles = []
     cur = []
@@ -644,28 +647,36 @@ def _parse_cycles(text, degree):
             raise SpecInvalid(f"repeated point in cycle {cyc}")
         for i, a in enumerate(pts):
             perm[a] = pts[(i + 1) % len(pts)]
-    return tuple(perm)
+    return {a: b for a, b in perm.items() if a != b}
 
 
 def _group_from_permutations(payload, order_budget, label):
+    # Elements are tuples on the moved points only, relabelled in increasing
+    # order: all elements agree on the fixed points, so the sorted order, the
+    # table and the generators are those of the full tuples on 0..degree-1,
+    # at a cost independent of `degree`.
     degree = int(payload["degree"])
-    perms = []
+    maps = []
     for g in payload["generators"]:
         if isinstance(g, str):
-            perms.append(_parse_cycles(g, degree))
+            maps.append(_parse_cycles(g, degree))
         else:
-            perm = tuple(int(x) for x in g)
-            if sorted(perm) != list(range(degree)):
+            perm = [int(x) for x in g]
+            if len(perm) != degree or sorted(perm) != list(range(degree)):
                 raise SpecInvalid(f"not a permutation of 0..{degree - 1}: {g}")
-            perms.append(perm)
-    ident = tuple(range(degree))
+            maps.append({a: b for a, b in enumerate(perm) if a != b})
+    moved = sorted(set().union(*maps))
+    label_of = {a: k for k, a in enumerate(moved)}
+    perms = [tuple(label_of[m.get(a, a)] for a in moved) for m in maps]
+    width = len(moved)
+    ident = tuple(range(width))
     elems = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for x in frontier:
             for s in perms:
-                y = tuple(x[s[i]] for i in range(degree))  # x after s
+                y = tuple(x[s[i]] for i in range(width))  # x after s
                 if y not in elems:
                     if len(elems) >= order_budget:
                         raise OrderBudgetExceeded(
@@ -680,7 +691,7 @@ def _group_from_permutations(payload, order_budget, label):
     mul = np.zeros((n, n), dtype=np.int64)
     for i, a in enumerate(ordered):
         for j, b in enumerate(ordered):
-            mul[i, j] = pos[tuple(a[b[t]] for t in range(degree))]
+            mul[i, j] = pos[tuple(a[b[t]] for t in range(width))]
     gens = [pos[s] for s in perms]
     return FiniteGroup(mul, identity=pos[ident], label=label, gens=gens, validate=False)
 

@@ -1,10 +1,9 @@
 """Exact integer matrix kernels: Hermite/Smith reduction, solving, lattices.
 
-Everything here is exact over the integers.  The row-echelon accumulator
-runs on int64 numpy arrays with predictive overflow guards and lifts itself
-to object dtype (arbitrary-precision Python ints) when a guard trips; the
-Smith reduction works on object arrays throughout.  Pivoting is
-deterministic with a swap-to-smallest rule to keep entries small.
+Everything here is exact over the integers: the row-echelon accumulator and
+the Smith reduction both work on object arrays of arbitrary-precision Python
+ints.  Pivoting is deterministic with a swap-to-smallest rule to keep
+entries small.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 import bisect
 
 import numpy as np
-
-_GUARD = 2**59
 
 
 def _xgcd(a, b):
@@ -31,10 +28,6 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
-def _maxabs(v):
-    return int(np.abs(v).max()) if v.size else 0
-
-
 class RowEchelon:
     """Incremental exact integer row-echelon accumulator.
 
@@ -46,46 +39,29 @@ class RowEchelon:
     (rank x ncols) accumulated basis.
     """
 
-    def __init__(self, ncols, dtype=np.int64):
+    dtype = object  # rows hold Python ints; perfbench/tracer.py reads this
+
+    def __init__(self, ncols):
         self.ncols = int(ncols)
-        self.dtype = dtype
         self._rows = {}  # pivot column -> row vector
         self._cols = []  # the pivot columns, ascending
-        self._lifted = dtype == object
-
-    def _lift(self):
-        if not self._lifted:
-            self._rows = {c: r.astype(object) for c, r in self._rows.items()}
-            self._lifted = True
-            self.dtype = object
 
     def add_rows(self, rows):
         rows = np.asarray(rows)
+        # Python ints throughout, also where an object array holds numpy scalars
+        rows = np.frompyfunc(int, 1, 1)(rows) if rows.dtype == object else rows.astype(object)
         if rows.ndim == 1:
             rows = rows.reshape(1, -1)
-        for i in range(rows.shape[0]):
-            row = rows[i]
-            if not self._lifted and rows.dtype == object:
-                # incoming arbitrary-precision entries force the exact path
-                if any(abs(int(x)) > _GUARD for x in row):
-                    self._lift()
-            self._add_one(np.array(row, dtype=self.dtype))
-
-    def _axpy(self, r, q, piv):
-        """r - q * piv, lifting the accumulator first if int64 could wrap."""
-        if not self._lifted and abs(q) * _maxabs(piv) + _maxabs(r) > _GUARD:
-            self._lift()
-        if self._lifted:
-            r, piv = r.astype(object, copy=False), piv.astype(object, copy=False)
-        return r - q * piv
+        for row in rows:
+            self._add_one(row.copy())
 
     def _reduce(self, r, j):
         """r with its entries in the pivot columns after j put in [0, pivot)."""
         for c in self._cols[bisect.bisect_right(self._cols, j):]:
             piv = self._rows[c]
-            q = int(r[c]) // int(piv[c])
+            q = r[c] // piv[c]
             if q:
-                r = self._axpy(r, q, piv)
+                r = r - q * piv
         return r
 
     def _settle(self, j):
@@ -93,46 +69,34 @@ class RowEchelon:
         # j against the later pivots, then each earlier row against row j;
         # that touches its later columns, so reduce those again.
         piv = self._rows[j] = self._reduce(self._rows[j], j)
-        lead = int(piv[j])
+        lead = piv[j]
         for c in self._cols[: bisect.bisect_left(self._cols, j)]:
-            q = int(self._rows[c][j]) // lead
+            q = self._rows[c][j] // lead
             if q:
-                self._rows[c] = self._reduce(self._axpy(self._rows[c], q, piv), j)
+                self._rows[c] = self._reduce(self._rows[c] - q * piv, j)
 
     def _add_one(self, v):
         start = 0
         while True:
-            if self._lifted:
-                # a guard may have lifted the accumulator mid-insertion; the
-                # in-flight row must follow, or int64 products could wrap
-                v = v.astype(object, copy=False)
             nz = np.flatnonzero(v[start:])
             if nz.size == 0:
                 return
             j = start + int(nz[0])
             pivot_row = self._rows.get(j)
             if pivot_row is None:
-                if int(v[j]) < 0:
+                if v[j] < 0:
                     v = -v
                 self._rows[j] = v
                 bisect.insort(self._cols, j)
                 self._settle(j)
                 return
-            a = int(pivot_row[j])
-            b = int(v[j])
+            a, b = pivot_row[j], v[j]
             if b % a == 0:
-                v = self._axpy(v, b // a, pivot_row)
+                v = v - (b // a) * pivot_row
             else:
                 g, x, y = _xgcd(a, b)
-                if not self._lifted:
-                    bound = (abs(x) + abs(b // g)) * _maxabs(pivot_row) + (abs(y) + abs(a // g)) * _maxabs(v)
-                    if bound > _GUARD:
-                        self._lift()
-                        pivot_row = self._rows[j]
-                        v = v.astype(object)
-                combined = x * pivot_row + y * v
+                self._rows[j] = x * pivot_row + y * v
                 v = (a // g) * v - (b // g) * pivot_row
-                self._rows[j] = combined
                 self._settle(j)
             start = j  # leading entry of v is now past j
 
@@ -144,8 +108,7 @@ class RowEchelon:
         """Stacked basis rows ordered by pivot column (object dtype)."""
         if not self._rows:
             return np.zeros((0, self.ncols), dtype=object)
-        ordered = [self._rows[c].astype(object) for c in sorted(self._rows)]
-        return np.array(ordered, dtype=object)
+        return np.array([self._rows[c] for c in self._cols], dtype=object)
 
 
 def row_lattice_basis(A):

@@ -34,6 +34,7 @@ from .groups import (
     commutator_subgroup,
     complement,
     core,
+    extend_from_generators,
     full_subgroup,
     is_prime,
     normalizer_centralizer,
@@ -380,8 +381,6 @@ def _find_isomorphism(ref, G):
     pairwise products with earlier choices before the full Cayley-graph
     extension check runs.
     """
-    from .groups import extend_from_generators
-
     if ref.order != G.order:
         return None
     gens = list(ref.gens)

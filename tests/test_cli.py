@@ -212,6 +212,10 @@ def _sha_argv(spec, *extra):
         (_sha_argv(dict(SEMIDIRECT_BAD_P, p=INT64_PRIME, matrices=[[[2, 3], [5, 7]]],
                         acting=cyclic_spec(2))), "OrderBudgetExceeded", EXIT_BUDGET),
         (_sha_argv(dict(SEMIDIRECT_BAD_P, p=2, m=10**9)), "OrderBudgetExceeded", EXIT_BUDGET),
+        (_sha_argv({"kind": "permutations", "degree": 10**9, "generators": [[1, 0]]}),
+         "SpecInvalid", EXIT_PARSE),
+        (_sha_argv({"kind": "permutations", "degree": 10**9, "generators": ["(1 1000000001)"]}),
+         "SpecInvalid", EXIT_PARSE),
     ],
 )
 def test_malformed_input_exits_with_typed_error(capsys, argv, error, code):
@@ -220,6 +224,18 @@ def test_malformed_input_exits_with_typed_error(capsys, argv, error, code):
     assert time.perf_counter() - start < 1.0
     assert got == code
     assert report["error"]["type"] == error
+
+
+def test_permutation_degree_costs_nothing(capsys):
+    # elements live on the moved points only: a transposition in S_(10^9)
+    # builds Z/2 at once, with the report of the same spec at degree 2
+    start = time.perf_counter()
+    spec = {"kind": "permutations", "degree": 10**9, "generators": ["(1 2)"]}
+    code, report = run_capture(capsys, _sha_argv(spec))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    _, small = run_capture(capsys, _sha_argv(dict(spec, degree=2)))
+    assert report["results"] == small["results"]
 
 
 _JUNK = st.recursive(

@@ -402,7 +402,7 @@ def test_witness_ii_brute_path():
 
 def test_diagonal_line_pair_with_eigenvalue_one_action():
     # regression: the Sylow-restriction kernel of this pair needs exact
-    # large-coefficient row reduction (a mid-insertion overflow lift)
+    # large-coefficient row reduction (gcd combinations mid-insertion)
     g100 = build_group(
         {
             "kind": "semidirect",
