@@ -334,7 +334,7 @@ def _effective_dset(G, closed):
     kept = []
     for h in members:
         # drop h if a conjugate of it lies in a kept member
-        conjugates = G.mul[G.mul[:, h.elements], G.inv[:, None]]  # row g: g h g^-1
+        conjugates = h.conjugates()
         if not any(np.isin(conjugates, k.elements).all(axis=1).any() for k in kept):
             kept.append(h)
     return kept

@@ -2,9 +2,13 @@
 
 Groups are realized by full multiplication tables over element indices
 0..n-1 (orders <= 512 by default), so every downstream computation gets
-constant-time multiplication.  All values are immutable after construction
-and the operations are pure functions; deterministic tie-breaking (least
-element index, lexicographic element lists) is used throughout.
+constant-time multiplication.  The subgroup primitives (subgroup checks,
+conjugates, cores, normalizers, centralizers, commutators, cyclic
+subgroups) are whole-table numpy gathers over `mul` and `inv`, such as
+`mul[mul[:, H], inv[:, None]]` for all conjugates of H at once.  All
+values are immutable after construction and the operations are pure
+functions; deterministic tie-breaking (least element index, lexicographic
+element lists) is used throughout.
 """
 
 from __future__ import annotations
@@ -240,17 +244,17 @@ class SubgroupHandle:
             raise SpecInvalid("subgroup elements must be distinct")
         if not elems or elems[0] < 0 or elems[-1] >= parent.order:
             raise SpecInvalid("subgroup elements out of range")
-        eset = frozenset(elems)
-        if parent.identity not in eset:
+        idx = np.array(elems, dtype=np.int64)
+        mask = np.zeros(parent.order, dtype=bool)
+        mask[idx] = True
+        if not mask[parent.identity]:
             raise SpecInvalid("subgroup must contain the identity")
-        for x in elems:
-            if int(parent.inv[x]) not in eset:
-                raise SpecInvalid("subgroup is not closed under inversion")
-        products = parent.mul[np.ix_(elems, elems)]
-        if not frozenset(np.unique(products).tolist()) <= eset:
+        if not mask[parent.inv[idx]].all():
+            raise SpecInvalid("subgroup is not closed under inversion")
+        if not mask[parent.mul[idx[:, None], idx]].all():
             raise SpecInvalid("subgroup is not closed under multiplication")
         self.elements = elems
-        self._set = eset
+        self._set = frozenset(elems)
         self._cache = {}
 
     def __eq__(self, other):
@@ -277,12 +281,15 @@ class SubgroupHandle:
     def contains_subgroup(self, other):
         return self._set >= other._set
 
+    def conjugates(self):
+        """Row g lists g x g^-1 for x in the elements, for every g in the parent."""
+        G = self.parent
+        return G.mul[G.mul[:, self.elements], G.inv[:, None]]
+
     @property
     def is_normal(self):
         if "normal" not in self._cache:
-            G = self.parent
-            conjugates = G.mul[G.mul[:, self.elements], G.inv[:, None]]  # row g: g H g^-1
-            self._cache["normal"] = bool(np.isin(conjugates, self.elements).all())
+            self._cache["normal"] = bool(np.isin(self.conjugates(), self.elements).all())
         return self._cache["normal"]
 
     @property
@@ -296,14 +303,13 @@ class SubgroupHandle:
 
     def conjugate(self, g):
         G = self.parent
-        return SubgroupHandle(G, tuple(G.conj(g, x) for x in self.elements))
+        return SubgroupHandle(G, G.mul[G.mul[g, self.elements], G.inv[g]].tolist())
 
     def canonical_conjugate(self):
         """The lexicographically least conjugate (deterministic reports)."""
-        G = self.parent
-        conjugates = np.sort(G.mul[G.mul[:, self.elements], G.inv[:, None]], axis=1)
+        conjugates = np.sort(self.conjugates(), axis=1)
         best = conjugates[np.lexsort(conjugates.T[::-1])[0]]
-        return SubgroupHandle(G, best.tolist())
+        return SubgroupHandle(self.parent, best.tolist())
 
     def as_group(self, label=None):
         """Re-indexed FiniteGroup plus the local->parent element map."""
@@ -342,13 +348,14 @@ def full_subgroup(G):
 
 def cyclic_subgroups(G):
     """All cyclic subgroups of G, trivial subgroup included, deduplicated."""
-    seen = set()
-    out = []
-    for g in G.elements():
-        elems = closure_elements(G.mul, G.identity, [g])
-        if elems not in seen:
-            seen.add(elems)
-            out.append(SubgroupHandle(G, elems))
+    orders = G.element_orders
+    powers = [np.full(G.order, G.identity), np.arange(G.order)]  # column k: g^k
+    while len(powers) < orders.max():
+        powers.append(G.mul[powers[-1], powers[1]])
+    powers = np.stack(powers, axis=1)  # row g runs through <g>
+    # <g> is named by its least element of the same order as g
+    gens = np.where(orders[powers] == orders[:, None], powers, G.order).min(axis=1)
+    out = [SubgroupHandle(G, np.unique(powers[g]).tolist()) for g in np.unique(gens)]
     out.sort(key=lambda h: (h.order, h.elements))
     return out
 
@@ -393,34 +400,34 @@ def sylow_subgroup(G, p):
 
 
 def core(G, H):
-    """Normal core: the intersection of all conjugates of H in G."""
-    inter = set(H.elements)
-    for g in G.elements():
-        inter &= {G.conj(g, x) for x in H.elements}
-        if len(inter) == 1:
-            break
-    return SubgroupHandle(G, tuple(sorted(inter)))
+    """Normal core: the intersection of all conjugates of H in G.
+
+    Each row of `H.conjugates()` lists distinct elements, so an element
+    lies in every conjugate exactly when it occurs in all |G| rows.
+    """
+    counts = np.bincount(H.conjugates().ravel(), minlength=G.order)
+    return SubgroupHandle(G, np.flatnonzero(counts == G.order).tolist())
 
 
 def normalizer_centralizer(G, H):
     """(N_G(H), Z_G(H)); the centralizer is contained in the normalizer."""
-    hset = H._set
-    norm, cent = [], []
-    for g in G.elements():
-        if all(G.conj(g, x) in hset for x in H.elements):
-            norm.append(g)
-            if all(G.mul[g, x] == G.mul[x, g] for x in H.elements):
-                cent.append(g)
-    return SubgroupHandle(G, tuple(norm)), SubgroupHandle(G, tuple(cent))
+    h = np.array(H.elements, dtype=np.int64)
+    mask = np.zeros(G.order, dtype=bool)
+    mask[h] = True
+    norm = mask[H.conjugates()].all(axis=1)
+    cent = (G.mul[:, h] == G.mul[h, :].T).all(axis=1)  # g x = x g for all x in H
+    return (
+        SubgroupHandle(G, np.flatnonzero(norm).tolist()),
+        SubgroupHandle(G, np.flatnonzero(cent).tolist()),
+    )
 
 
 def commutator_subgroup(G, A, B):
     """Subgroup generated by commutators a b a^{-1} b^{-1}, a in A, b in B."""
-    comms = set()
-    for a in A.elements:
-        for b in B.elements:
-            comms.add(int(G.mul[G.mul[a, b], G.mul[G.inv[a], G.inv[b]]]))
-    return SubgroupHandle(G, closure_elements(G.mul, G.identity, comms))
+    a = np.array(A.elements, dtype=np.int64)
+    b = np.array(B.elements, dtype=np.int64)
+    comms = G.mul[G.mul[np.ix_(a, b)], G.mul[np.ix_(G.inv[a], G.inv[b])]]
+    return SubgroupHandle(G, closure_elements(G.mul, G.identity, np.unique(comms).tolist()))
 
 
 def derived_subgroup(G):

@@ -17,6 +17,8 @@ import math
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     BudgetExceeded,
     CertificateUnavailable,
@@ -170,28 +172,28 @@ def sha_p_part(G, H, p, dset=()):
     """The p-primary part: Z/p exactly when all three criteria hold and no
     member of the closed dset contains the Sylow subgroup; else trivial."""
     conds = p_part_conditions(G, H, p)
-    if not conds.all_abc:
-        return FinAb.trivial()
-    S = sylow_subgroup(G, p)
-    for D in close_dset(G, list(dset)):
-        if D.contains_subgroup(S):
-            return FinAb.trivial()
-    return FinAb.cyclic(p)
+    return _p_part(int(p), conds, sylow_subgroup(G, p), close_dset(G, list(dset)))
 
 
-def _complement_pair(G, H, p):
+def _p_part(p, conds, S, closed):
+    if conds.all_abc and not any(D.contains_subgroup(S) for D in closed):
+        return FinAb.cyclic(p)
+    return FinAb.trivial()
+
+
+def _complement_pair(G, S, H):
     """(G', H') with G = S ⋊ G' and a Sylow-conjugate of H equal to
     (S∩H) ⋊ H'; H' is realized as G' ∩ sHs^{-1} for the least s in S."""
-    S = sylow_subgroup(G, p)
     Gp = complement(G, S)
     target = H.order // len(set(S.elements) & set(H.elements))
-    gset = set(Gp.elements)
-    for s in S.elements:
-        conj = {G.conj(s, x) for x in H.elements}
-        inter = gset & conj
-        if len(inter) == target:
-            return Gp, SubgroupHandle(G, tuple(sorted(inter)))
-    raise HypothesisViolated("no Sylow conjugate of H splits over the complement")
+    in_gp = np.zeros(G.order, dtype=bool)
+    in_gp[list(Gp.elements)] = True
+    conj = H.conjugates()[list(S.elements)]  # row i: s_i H s_i^-1
+    hits = np.flatnonzero(in_gp[conj].sum(axis=1) == target)
+    if not hits.size:
+        raise HypothesisViolated("no Sylow conjugate of H splits over the complement")
+    row = conj[hits[0]]
+    return Gp, SubgroupHandle(G, row[in_gp[row]].tolist())
 
 
 def sha_prime_to_p(G, H, p, dset=(), budget=DEFAULT_COCHAIN_BUDGET):
@@ -203,17 +205,18 @@ def sha_prime_to_p(G, H, p, dset=(), budget=DEFAULT_COCHAIN_BUDGET):
     subgroups only.  Raises CertificateUnavailable otherwise.
     """
     p_part_conditions(G, H, p)  # validates the shared prerequisites
-    S = sylow_subgroup(G, p)
+    return _prime_to_p(G, H, sylow_subgroup(G, p), close_dset(G, list(dset)), budget)
+
+
+def _prime_to_p(G, H, S, closed, budget):
     SH = subgroup_closure(G, list(S.elements) + list(H.elements))
-    idx = SH.index
-    closed = close_dset(G, list(dset))
-    cert_prime = is_prime(idx)
+    cert_prime = is_prime(SH.index)
     cert_cyclic = all(D.is_cyclic for D in closed)
     if not (cert_prime or cert_cyclic):
         raise CertificateUnavailable(
             "no certificate that the dset kernel matches the all-cyclic kernel"
         )
-    Gp, Hp = _complement_pair(G, H, p)
+    Gp, Hp = _complement_pair(G, S, H)
     sub, elems = Gp.as_group()
     pos = {x: i for i, x in enumerate(elems)}
     Hp_local = SubgroupHandle(sub, tuple(pos[x] for x in Hp.elements))
@@ -284,9 +287,9 @@ def sha_full(G, H, p, dset=(), method="both", budget=DEFAULT_COCHAIN_BUDGET):
         t0 = time.perf_counter()
         try:
             report.conditions = p_part_conditions(G, H, p)
-            ppart = sha_p_part(G, H, p, raw)
-            rest = sha_prime_to_p(G, H, p, raw, budget)
-            theorem_result = ppart + rest
+            S = sylow_subgroup(G, p)
+            ppart = _p_part(p, report.conditions, S, closed)
+            theorem_result = ppart + _prime_to_p(G, H, S, closed, budget)
             report.theorem_result = theorem_result
         except (HypothesisViolated, CertificateUnavailable, SearchBudgetExceeded) as exc:
             if method == "theorem":
@@ -431,11 +434,8 @@ def _matches_pattern(G, H, spec, ref_subgroup_fn):
     image = SubgroupHandle(G, tuple(sorted(iso[x] for x in href.elements)))
     if image.order != H.order:
         return False
-    hset = set(H.elements)
-    for g in G.elements():
-        if {G.conj(g, x) for x in image.elements} == hset:
-            return True
-    return False
+    conjugates = np.sort(image.conjugates(), axis=1)
+    return bool((conjugates == np.array(H.elements)).all(axis=1).any())
 
 
 def classify_two_prime_index(G, H):
@@ -455,11 +455,12 @@ def classify_two_prime_index(G, H):
     if core(G, H).order != 1:
         raise HypothesisViolated("the core of H in G is not trivial")
     primes = sorted(fac)
+    sylows = {p: sylow_subgroup(G, p) for p in primes}
     assignments = [
         (p, ell)
         for p in primes
         for ell in primes
-        if p != ell and sylow_subgroup(G, p).order > 1 and sylow_subgroup(G, p).is_normal
+        if p != ell and sylows[p].order > 1 and sylows[p].is_normal
     ]
     if not assignments:
         raise HypothesisViolated("neither Sylow subgroup is normal")

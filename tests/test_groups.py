@@ -20,6 +20,7 @@ from normone.errors import (
 from normone.finab import FinAb
 from normone.groups import (
     FiniteGroup,
+    SubgroupHandle,
     abelianization,
     all_subgroups,
     build_group,
@@ -211,6 +212,78 @@ def test_is_normal_matches_loop_definition():
         for H in all_subgroups(G):
             loop = all(H.contains(G.conj(g, x)) for g in G.elements() for x in H.elements)
             assert H.is_normal == loop, (name, H.elements)
+
+
+_PERMUTATION_GROUPS = {
+    "D6": {"kind": "permutations", "degree": 6, "generators": ["(1 2 3 4 5 6)", "(1 6)(2 5)(3 4)"]},
+    "S4": {"kind": "permutations", "degree": 4, "generators": ["(1 2 3 4)", "(1 2)"]},
+}
+
+
+def _loop_power_closure(G, g):
+    acc, cur = {G.identity}, g
+    while cur != G.identity:
+        acc.add(cur)
+        cur = int(G.mul[cur, g])
+    return tuple(sorted(acc))
+
+
+def _loop_commutator(G, A, B):
+    comms = {
+        int(G.mul[G.mul[a, b], G.mul[G.inv[a], G.inv[b]]]) for a in A.elements for b in B.elements
+    }
+    return subgroup_closure(G, sorted(comms)).elements
+
+
+def _loop_normalizer_centralizer(G, H):
+    norm = [g for g in G.elements() if all(H.contains(G.conj(g, x)) for x in H.elements)]
+    cent = [g for g in G.elements() if all(G.mul[g, x] == G.mul[x, g] for x in H.elements)]
+    return tuple(norm), tuple(cent)
+
+
+def _loop_core(G, H):
+    inter = set(H.elements)
+    for g in G.elements():
+        inter &= {G.conj(g, x) for x in H.elements}
+    return tuple(sorted(inter))
+
+
+@pytest.mark.parametrize("name", catalog_names() + list(_PERMUTATION_GROUPS))
+def test_subgroup_primitives_match_loop_definitions(name):
+    spec = _PERMUTATION_GROUPS.get(name)
+    G = catalog_group(name) if spec is None else build_group(spec)
+    orders = [len(_loop_power_closure(G, g)) for g in G.elements()]
+    assert G.element_orders.tolist() == orders
+    cyclic = sorted({_loop_power_closure(G, g) for g in G.elements()}, key=lambda e: (len(e), e))
+    assert [h.elements for h in cyclic_subgroups(G)] == cyclic
+    full = full_subgroup(G)
+    for H in all_subgroups(G):
+        assert commutator_subgroup(G, H, full).elements == _loop_commutator(G, H, full)
+        assert commutator_subgroup(G, H, H).elements == _loop_commutator(G, H, H)
+        N, Z = normalizer_centralizer(G, H)
+        assert (N.elements, Z.elements) == _loop_normalizer_centralizer(G, H)
+        assert core(G, H).elements == _loop_core(G, H)
+        for g in G.elements():
+            loop = tuple(sorted(G.conj(g, x) for x in H.elements))
+            assert H.conjugate(g).elements == loop
+
+
+def test_subgroup_handle_rejects_bad_input():
+    G = s3()
+    e = G.identity
+    a = next(x for x in G.elements() if G.element_order(x) == 3)
+    b = next(x for x in G.elements() if G.element_order(x) == 2)
+    cases = [
+        ((e, a, a), "subgroup elements must be distinct"),
+        ((e, G.order), "subgroup elements out of range"),
+        ((-1, e), "subgroup elements out of range"),
+        ((a, int(G.inv[a])), "subgroup must contain the identity"),
+        ((e, a), "subgroup is not closed under inversion"),
+        ((e, a, int(G.inv[a]), b), "subgroup is not closed under multiplication"),
+    ]
+    for elements, message in cases:
+        with pytest.raises(SpecInvalid, match=message):
+            SubgroupHandle(G, elements)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from normone import structure
 from normone.catalog import (
     a4_shape_spec,
     abelian_spec,
@@ -183,6 +184,27 @@ def test_sha_full_a4_both_paths():
     assert rep.conditions.all_abc
     rep2 = sha_full(G, H, 2, [sylow_subgroup(G, 2)], method="both")
     assert rep2.result.is_trivial() and rep2.agreement is True
+
+
+def test_sha_full_evaluates_hypotheses_once(monkeypatch):
+    calls = {}
+
+    def counted(name):
+        fn = getattr(structure, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(structure, name, wrapper)
+
+    counted("p_part_conditions")
+    counted("close_dset")
+    G = a4()
+    H = subgroup_closure(G, [1])
+    rep = sha_full(G, H, 2, [sylow_subgroup(G, 2)], method="theorem")
+    assert rep.theorem_result.is_trivial()
+    assert calls == {"p_part_conditions": 1, "close_dset": 1}
 
 
 def test_sha_full_s3():
