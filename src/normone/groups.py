@@ -5,7 +5,9 @@ Groups are realized by full multiplication tables over element indices
 constant-time multiplication.  The subgroup primitives (subgroup checks,
 conjugates, cores, normalizers, centralizers, commutators, cyclic
 subgroups) are whole-table numpy gathers over `mul` and `inv`, such as
-`mul[mul[:, H], inv[:, None]]` for all conjugates of H at once.  All
+`mul[mul[:, H], inv[:, None]]` for all conjugates of H at once.  One
+saturation search, `subgroup_classes`, enumerates subgroups up to
+conjugacy; `all_subgroups` and the GL_2 scan of `reps` both read it.  All
 values are immutable after construction and the operations are pure
 functions; deterministic tie-breaking (least element index, lexicographic
 element lists) is used throughout.
@@ -18,6 +20,7 @@ import itertools
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     NotPrime,
     OrderBudgetExceeded,
     PreconditionFailed,
@@ -315,12 +318,12 @@ class SubgroupHandle:
         """Re-indexed FiniteGroup plus the local->parent element map."""
         if "group" not in self._cache:
             elems = self.elements
-            pos = {x: i for i, x in enumerate(elems)}
-            table = [[pos[int(self.parent.mul[a, b])] for b in elems] for a in elems]
+            idx = np.array(elems, dtype=np.int64)
+            G = self.parent
             sub = FiniteGroup(
-                table,
-                identity=pos[self.parent.identity],
-                label=label or f"{self.parent.label}|sub{self.order}",
+                np.searchsorted(idx, G.mul[np.ix_(idx, idx)]),
+                identity=elems.index(G.identity),
+                label=label or f"{G.label}|sub{self.order}",
                 validate=False,
             )
             self._cache["group"] = (sub, elems)
@@ -527,35 +530,75 @@ def complement(G, S, budget=200000):
     raise SearchBudgetExceeded("no complement found with <= 3 generators")
 
 
-def all_subgroups(G, max_count=100000):
-    """Every subgroup of G, by saturating cyclic subgroups under joins.
+def subgroup_classes(G, divisor=None, max_count=200000):
+    """The subgroups of G whose order divides `divisor` (default |G|), up to
+    conjugacy.
 
-    Exhaustive (any subgroup is reachable by adjoining one generator at a
-    time); intended for the small catalog orders.  Each queued subgroup
-    keeps the generators it was reached by, and a join closes over those
-    plus the adjoined element.
+    Saturation search over the pool of elements whose order divides
+    `divisor`: start from the cyclic subgroups they generate, then join
+    each class representative's generators with one pool element at a
+    time.  Each class is represented by the first subgroup found, and the
+    least conjugate is the deduplication key.  Complete: a subgroup K of
+    order dividing `divisor` is generated by pool elements x_1..x_k.  If
+    g K_j g^-1 is a representative R, for K_j = <x_1..x_j>, then
+    g K_{j+1} g^-1 is R joined with g x_{j+1} g^-1, a join the search
+    makes: the pool is closed under conjugation, and every K_j has order
+    dividing `divisor`.  Returns the representatives as sorted element
+    tuples and the number of distinct subgroups met; raises BudgetExceeded
+    past `max_count` of them.
     """
-    seen = {}
-    queue = []
-    for h in cyclic_subgroups(G):
-        gen = next(x for x in h.elements if G.element_order(x) == h.order)
-        seen[h.elements] = h
-        queue.append((h, [gen]))
+    divisor = G.order if divisor is None else int(divisor)
+    pool = np.flatnonzero(divisor % G.element_orders == 0).tolist()
+    seen = set()
+    keys = set()
+    classes = []  # (elements, generators)
+
+    def register(elems, gens):
+        if elems in seen:
+            return
+        if len(seen) >= max_count:
+            raise BudgetExceeded(
+                "subgroup enumeration budget exceeded",
+                sizes={"subgroups": len(seen), "budget": max_count},
+            )
+        seen.add(elems)
+        key = SubgroupHandle(G, elems).canonical_conjugate().elements
+        if key not in keys:
+            keys.add(key)
+            classes.append((elems, gens))
+
+    def closure(gens):
+        try:
+            return closure_elements(G.mul, G.identity, gens, cap=divisor)
+        except OrderBudgetExceeded:
+            return None
+
+    for t in pool:
+        S = closure([t])
+        if S is not None:
+            register(S, [t])
     qi = 0
-    while qi < len(queue):
-        h, gens = queue[qi]
+    while qi < len(classes):
+        S, gens = classes[qi]
         qi += 1
-        for x in G.elements():
-            if h.contains(x):
+        members = set(S)
+        for y in pool:
+            if y in members:
                 continue
-            elems = closure_elements(G.mul, G.identity, gens + [x])
-            if elems not in seen:
-                if len(seen) >= max_count:
-                    raise SearchBudgetExceeded("subgroup enumeration budget")
-                nh = SubgroupHandle(G, elems)
-                seen[elems] = nh
-                queue.append((nh, gens + [x]))
-    return sorted(seen.values(), key=lambda h: (h.order, h.elements))
+            T = closure(gens + [y])
+            if T is not None and divisor % len(T) == 0:
+                register(T, gens + [y])
+    return [S for S, _ in classes], len(seen)
+
+
+def all_subgroups(G):
+    """Every subgroup of G: the conjugates of the `subgroup_classes`
+    representatives, sorted by (order, elements)."""
+    # a set of rows, not np.unique(axis=0), which imports numpy.ma on first use
+    found = set()
+    for S in subgroup_classes(G)[0]:
+        found.update(map(tuple, np.sort(SubgroupHandle(G, S).conjugates(), axis=1).tolist()))
+    return [SubgroupHandle(G, elems) for elems in sorted(found, key=lambda e: (len(e), e))]
 
 
 def extend_from_generators(G, images, compose, identity_image, eq=None):

@@ -5,9 +5,9 @@ of order coprime to p can have zero fixed space while some line's
 stabilizer acts trivially on the line, witness constructions for the
 degrees where one exists, the explicit 2-Sylow generators of GL_2(F_p),
 and an exhaustive subgroup scan certifying the non-existence half.  The
-scan realizes GL_2(F_p), p <= 7, as a multiplication-table group and runs
-on the shared group engine of `groups` (closures, subgroup enumeration,
-canonical conjugates).
+scan realizes GL_2(F_p), p <= 7, as a multiplication-table group; its
+coprime-order subgroup classes come from `groups.subgroup_classes` and the
+subgroups of each class from `groups.all_subgroups`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from .catalog import cyclic_spec
 from .errors import (
-    BudgetExceeded,
     NotCoprime,
     NotPrime,
     OrderBudgetExceeded,
@@ -33,11 +32,11 @@ from .groups import (
     _rank_mod_p,
     all_subgroups,
     build_group,
-    closure_elements,
     extend_from_generators,
     is_prime,
     semidirect_from_action,
     subgroup_closure,
+    subgroup_classes,
     trivial_subgroup,
     vector_index,
 )
@@ -273,6 +272,15 @@ def fixed_space_dim(mats, gens, p):
     return 2 - _rank_mod_p([row for s in gens for row in (mats[s] - eye).tolist()], p)
 
 
+def _stabilizer_fixes_line(mats, elements, line, p):
+    """Whether every element that maps the line to itself fixes it pointwise."""
+    return all(
+        fixes_line_pointwise(mats[g], line, p)
+        for g in elements
+        if line_image(mats[g], line, p) == line
+    )
+
+
 def check_bc(rep):
     """(no nonzero fixed vectors, the marked line's stabilizer fixes it pointwise)."""
     G, p = rep.group, rep.p
@@ -280,9 +288,7 @@ def check_bc(rep):
     b = fixed_space_dim(rep.mats, gens, p) == 0
     if rep.line is None:
         raise SpecInvalid("the second condition needs a marked line")
-    stab = [g for g in G.elements() if line_image(rep.mats[g], rep.line, p) == rep.line]
-    c = all(fixes_line_pointwise(rep.mats[g], rep.line, p) for g in stab)
-    return b, c
+    return b, _stabilizer_fixes_line(rep.mats, G.elements(), rep.line, p)
 
 
 def _rep_from_generator_matrix(G, M, p, line=None, hprime=None):
@@ -512,59 +518,6 @@ def _gl2_group(p):
 _CLASS_CACHE = {}
 
 
-def _pprime_subgroup_classes(G, p, cap, max_subgroups):
-    """All subgroups of G = GL_2(F_p) of order coprime to p, up to conjugacy.
-
-    Saturation search: start from cyclic subgroups and repeatedly adjoin a
-    single element to a class's generators; every subgroup arises along
-    such a chain, so the enumeration is complete.  Each class is
-    represented by the first subgroup found, and the least conjugate is
-    the deduplication key.  Returns the representatives as sorted element
-    tuples and the number of distinct subgroups met.
-    """
-    pprime = np.flatnonzero(G.element_orders % p).tolist()
-    seen = set()
-    keys = set()
-    classes = []  # (elements, generators)
-
-    def register(elems, gens):
-        if elems in seen:
-            return
-        if len(seen) >= max_subgroups:
-            raise BudgetExceeded(
-                "subgroup enumeration budget exceeded",
-                sizes={"subgroups": len(seen), "budget": max_subgroups},
-            )
-        seen.add(elems)
-        key = SubgroupHandle(G, elems).canonical_conjugate().elements
-        if key not in keys:
-            keys.add(key)
-            classes.append((elems, gens))
-
-    def closure(gens):
-        try:
-            return closure_elements(G.mul, G.identity, gens, cap=cap + 1)
-        except OrderBudgetExceeded:
-            return None
-
-    for t in pprime:
-        S = closure([t])
-        if S is not None:
-            register(S, [t])
-    qi = 0
-    while qi < len(classes):
-        S, gens = classes[qi]
-        qi += 1
-        members = set(S)
-        for y in pprime:
-            if y in members:
-                continue
-            T = closure(gens + [y])
-            if T is not None and len(T) % p:
-                register(T, gens + [y])
-    return [S for S, _ in classes], len(seen)
-
-
 def exhaustive_scan(p, n, max_subgroups=200000):
     """Scan all coprime-order subgroups of GL_2(F_p) for (subgroup of index n,
     stable line) pairs with zero fixed space and pointwise-trivial line
@@ -587,13 +540,13 @@ def exhaustive_scan(p, n, max_subgroups=200000):
             f"its table is built for p <= {_GL2_MAX_P} only"
         )
     G, mats = _gl2_group(p)
-    cap = G.order
+    cap = G.order  # the p'-part: an order coprime to p is one dividing it
     while cap % p == 0:
         cap //= p
     # the enumeration is independent of the index n being scanned
     key = (p, cap, max_subgroups)
     if key not in _CLASS_CACHE:
-        classes, subgroups_seen = _pprime_subgroup_classes(G, p, cap, max_subgroups)
+        classes, subgroups_seen = subgroup_classes(G, cap, max_subgroups)
         _CLASS_CACHE[key] = (classes, subgroups_seen, {})
     classes, subgroups_seen, subgroups_of = _CLASS_CACHE[key]
     tuples = [tuple(t) for t in mats.tolist()]
@@ -615,8 +568,7 @@ def exhaustive_scan(p, n, max_subgroups=200000):
                 continue
             stable = [L for L in lines if all(line_image(mats[h], L, p) == L for h in H)]
             for L in stable:
-                stab = [t for t in S if line_image(mats[t], L, p) == L]
-                if all(fixes_line_pointwise(mats[t], L, p) for t in stab):
+                if _stabilizer_fixes_line(mats, S, L, p):
                     hits.append(
                         ScanHit(
                             group_class=ci,

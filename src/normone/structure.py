@@ -118,7 +118,8 @@ def annihilator_bound(G, pairs):
 
 @dataclass(frozen=True)
 class PPartConditions:
-    """Validated prerequisites plus the three nonvanishing criteria.
+    """Validated prerequisites plus the three nonvanishing criteria, and the
+    Sylow subgroup they were evaluated on.
 
     The criteria are only meaningful when all prerequisites hold; the
     evaluator raises instead of returning a half-filled record.
@@ -130,6 +131,7 @@ class PPartConditions:
     a_rank_two: bool
     b_commutator_full: bool
     c_normalizer_is_centralizer: bool
+    sylow: SubgroupHandle = field(compare=False, repr=False)
 
     @property
     def all_abc(self):
@@ -165,14 +167,14 @@ def p_part_conditions(G, H, p):
     meet = SubgroupHandle(G, tuple(sorted(set(S.elements) & set(H.elements))))
     N, Z = normalizer_centralizer(G, meet)
     c = N.elements == Z.elements
-    return PPartConditions(sylow_normal, core_trivial, ordp_one, a, b, c)
+    return PPartConditions(sylow_normal, core_trivial, ordp_one, a, b, c, S)
 
 
 def sha_p_part(G, H, p, dset=()):
     """The p-primary part: Z/p exactly when all three criteria hold and no
     member of the closed dset contains the Sylow subgroup; else trivial."""
     conds = p_part_conditions(G, H, p)
-    return _p_part(int(p), conds, sylow_subgroup(G, p), close_dset(G, list(dset)))
+    return _p_part(int(p), conds, conds.sylow, close_dset(G, list(dset)))
 
 
 def _p_part(p, conds, S, closed):
@@ -204,8 +206,8 @@ def sha_prime_to_p(G, H, p, dset=(), budget=DEFAULT_COCHAIN_BUDGET):
     either (G : S*H) is prime, or the closed dset consists of cyclic
     subgroups only.  Raises CertificateUnavailable otherwise.
     """
-    p_part_conditions(G, H, p)  # validates the shared prerequisites
-    return _prime_to_p(G, H, sylow_subgroup(G, p), close_dset(G, list(dset)), budget)
+    conds = p_part_conditions(G, H, p)  # validates the shared prerequisites
+    return _prime_to_p(G, H, conds.sylow, close_dset(G, list(dset)), budget)
 
 
 def _prime_to_p(G, H, S, closed, budget):
@@ -287,7 +289,7 @@ def sha_full(G, H, p, dset=(), method="both", budget=DEFAULT_COCHAIN_BUDGET):
         t0 = time.perf_counter()
         try:
             report.conditions = p_part_conditions(G, H, p)
-            S = sylow_subgroup(G, p)
+            S = report.conditions.sylow
             ppart = _p_part(p, report.conditions, S, closed)
             theorem_result = ppart + _prime_to_p(G, H, S, closed, budget)
             report.theorem_result = theorem_result
@@ -311,7 +313,9 @@ def sha_full(G, H, p, dset=(), method="both", budget=DEFAULT_COCHAIN_BUDGET):
                 raise
             report.warnings.append(f"brute path exceeded budget: {exc}")
             if theorem_result is not None:
-                report.p_restriction_check = _p_restriction_check(G, H, p, budget)
+                report.p_restriction_check = _p_restriction_check(
+                    G, H, report.conditions.sylow, budget
+                )
                 expected = theorem_result.primary_part(p)
                 # the p-part injects into the Sylow restriction kernel, so a
                 # failed embedding is a genuine contradiction
@@ -327,14 +331,13 @@ def sha_full(G, H, p, dset=(), method="both", budget=DEFAULT_COCHAIN_BUDGET):
     return report
 
 
-def _p_restriction_check(G, H, p, budget):
-    """Restriction kernel over the Sylow subgroup.
+def _p_restriction_check(G, H, S, budget):
+    """Restriction kernel over the Sylow subgroup S.
 
     The p-primary part of the full kernel injects into this one (the index
     of the Sylow subgroup is prime to p), so it is a sound upper bound for
     the structural p-part to embed into.
     """
-    S = sylow_subgroup(G, p)
     J, _ = j_lattice(G, [(H, 1)])
     JS = restrict(J, S)
     sub = JS.group

@@ -13,6 +13,7 @@ from normone.catalog import (
     symmetric3_spec,
 )
 from normone.errors import (
+    BudgetExceeded,
     OrderBudgetExceeded,
     PreconditionFailed,
     SpecInvalid,
@@ -24,6 +25,7 @@ from normone.groups import (
     abelianization,
     all_subgroups,
     build_group,
+    closure_elements,
     commutator_subgroup,
     complement,
     core,
@@ -36,6 +38,7 @@ from normone.groups import (
     is_prime,
     normalizer_centralizer,
     semidirect_from_action,
+    subgroup_classes,
     subgroup_closure,
     sylow_subgroup,
     trivial_subgroup,
@@ -266,6 +269,56 @@ def test_subgroup_primitives_match_loop_definitions(name):
         for g in G.elements():
             loop = tuple(sorted(G.conj(g, x) for x in H.elements))
             assert H.conjugate(g).elements == loop
+
+
+def _queue_all_subgroups(G):
+    """Every subgroup, by a queue over all of them: each queued subgroup is
+    joined with every element outside it."""
+    seen = {}
+    queue = []
+    for h in cyclic_subgroups(G):
+        gen = next(x for x in h.elements if G.element_order(x) == h.order)
+        seen[h.elements] = h
+        queue.append((h, [gen]))
+    qi = 0
+    while qi < len(queue):
+        h, gens = queue[qi]
+        qi += 1
+        for x in G.elements():
+            if h.contains(x):
+                continue
+            elems = closure_elements(G.mul, G.identity, gens + [x])
+            if elems not in seen:
+                nh = SubgroupHandle(G, elems)
+                seen[elems] = nh
+                queue.append((nh, gens + [x]))
+    return sorted(seen.values(), key=lambda h: (h.order, h.elements))
+
+
+_SEARCH_GROUPS = {
+    **_PERMUTATION_GROUPS,
+    "A5": {"kind": "permutations", "degree": 5, "generators": ["(1 2 3 4 5)", "(1 2 3)"]},
+}
+
+
+@pytest.mark.parametrize("name", catalog_names() + list(_SEARCH_GROUPS))
+def test_subgroup_search_matches_queue_over_all_subgroups(name):
+    spec = _SEARCH_GROUPS.get(name)
+    G = catalog_group(name) if spec is None else build_group(spec)
+    reference = _queue_all_subgroups(G)
+    assert [h.elements for h in all_subgroups(G)] == [h.elements for h in reference]
+    for d in (d for d in range(1, G.order + 1) if G.order % d == 0):
+        classes, seen = subgroup_classes(G, d)
+        expected = {h.canonical_conjugate().elements for h in reference if d % h.order == 0}
+        got = [SubgroupHandle(G, S).canonical_conjugate().elements for S in classes]
+        assert sorted(got) == sorted(expected), (name, d)
+        assert len(classes) <= seen <= sum(d % h.order == 0 for h in reference)
+
+
+def test_subgroup_classes_budget():
+    with pytest.raises(BudgetExceeded) as err:
+        subgroup_classes(a4(), max_count=2)
+    assert err.value.sizes == {"subgroups": 2, "budget": 2}
 
 
 def test_subgroup_handle_rejects_bad_input():

@@ -200,11 +200,12 @@ def test_sha_full_evaluates_hypotheses_once(monkeypatch):
 
     counted("p_part_conditions")
     counted("close_dset")
+    counted("sylow_subgroup")
     G = a4()
     H = subgroup_closure(G, [1])
     rep = sha_full(G, H, 2, [sylow_subgroup(G, 2)], method="theorem")
     assert rep.theorem_result.is_trivial()
-    assert calls == {"p_part_conditions": 1, "close_dset": 1}
+    assert calls == {"p_part_conditions": 1, "close_dset": 1, "sylow_subgroup": 1}
 
 
 def test_sha_full_s3():
@@ -234,7 +235,7 @@ def test_sha_full_degrades_with_warning():
 def test_p_restriction_route():
     spec, Hw, _ = composite_sha_witness(2, "i")
     Gw = Hw.parent
-    restricted = _p_restriction_check(Gw, Hw, 2, 200000)
+    restricted = _p_restriction_check(Gw, Hw, sylow_subgroup(Gw, 2), 200000)
     assert restricted.primary_part(2) == FinAb.cyclic(2)
 
 
