@@ -26,13 +26,13 @@ from .errors import (
     ParseError,
     PreconditionFailed,
     SchemaError,
-    SearchBudgetExceeded,
     SpecInvalid,
 )
 from .groups import (
     GroupSpec,
     _rank_mod_p,
     build_group,
+    full_subgroup,
     is_prime,
     subgroup_closure,
     sylow_subgroup,
@@ -124,7 +124,7 @@ def resolve_subgroup(G, text):
     if text in ("trivial", ""):
         return trivial_subgroup(G)
     if text == "all":
-        return subgroup_closure(G, list(G.elements()))
+        return full_subgroup(G)
     if text.startswith("sylow:"):
         prime = text[len("sylow:"):].strip()
         if not prime.isdecimal() or len(prime) > 19 or not _is_int(int(prime)):
@@ -363,7 +363,7 @@ def run(argv):
     except (HypothesisViolated, NotPrime, PreconditionFailed, CertificateUnavailable) as exc:
         _emit_error(args.verb, exc, EXIT_HYPOTHESIS)
         return EXIT_HYPOTHESIS
-    except (BudgetExceeded, OrderBudgetExceeded, SearchBudgetExceeded) as exc:
+    except (BudgetExceeded, OrderBudgetExceeded) as exc:
         _emit_error(args.verb, exc, EXIT_BUDGET)
         return EXIT_BUDGET
     except NormOneError as exc:

@@ -21,10 +21,6 @@ class OrderBudgetExceeded(NormOneError):
     """A closure enumeration grew past the configured order bound."""
 
 
-class SearchBudgetExceeded(NormOneError):
-    """A bounded subgroup search exhausted its budget without a hit."""
-
-
 class BudgetExceeded(NormOneError):
     """A cochain-space or scan budget was exceeded.
 

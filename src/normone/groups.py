@@ -1,4 +1,4 @@
-"""Finite-group engine: construction, subgroup primitives, Sylow theory.
+"""Finite-group engine: construction, subgroup primitives, Sylow subgroups.
 
 Groups are realized by full multiplication tables over element indices
 0..n-1 (orders <= 512 by default), so every downstream computation gets
@@ -7,15 +7,16 @@ conjugates, cores, normalizers, centralizers, commutators, cyclic
 subgroups) are whole-table numpy gathers over `mul` and `inv`, such as
 `mul[mul[:, H], inv[:, None]]` for all conjugates of H at once.  One
 saturation search, `subgroup_classes`, enumerates subgroups up to
-conjugacy; `all_subgroups` and the GL_2 scan of `reps` both read it.  All
+conjugacy; `all_subgroups` and the GL_2 scan of `reps` both read it.  One
+greedy growth, `_grow_subgroup`, finds a subgroup maximal among those of
+order dividing a given number: a Sylow subgroup, or a complement of a
+normal Sylow subgroup.  All
 values are immutable after construction and the operations are pure
 functions; deterministic tie-breaking (least element index, lexicographic
 element lists) is used throughout.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .errors import (
     NotPrime,
     OrderBudgetExceeded,
     PreconditionFailed,
-    SearchBudgetExceeded,
     SpecInvalid,
 )
 from .finab import FinAb
@@ -149,15 +149,6 @@ class FiniteGroup:
     def conj(self, g, x):
         """g x g^{-1}"""
         return int(self.mul[self.mul[g, x], self.inv[g]])
-
-    def power(self, x, k):
-        k = int(k)
-        if k < 0:
-            x, k = int(self.inv[x]), -k
-        acc = self.identity
-        for _ in range(k):
-            acc = int(self.mul[acc, x])
-        return acc
 
     def element_order(self, x):
         return int(self.element_orders[x])
@@ -363,13 +354,42 @@ def cyclic_subgroups(G):
     return out
 
 
-def sylow_subgroup(G, p):
-    """A p-Sylow subgroup, deterministic: the lexicographically least conjugate.
+def _grow_subgroup(G, divisor):
+    """A subgroup C of G, maximal among the subgroups of order dividing
+    `divisor`.
 
-    Grown by the normalizer ladder: a proper p-subgroup has p dividing the
-    order of its normalizer quotient, so some element of p-power order in
-    the normalizer extends it.
+    One pass, in index order, over the pool of elements whose order divides
+    `divisor` (the pool of `subgroup_classes`): each x not yet in C is
+    joined, C <- <C, x>, when that closure has order dividing `divisor`;
+    the pass stops once |C| = `divisor`.  Maximal: a refused x stays
+    refused, since <C, x> only grows as C does; and if some K ⊋ C had order
+    dividing `divisor`, every x in K \\ C would lie in the pool and have
+    been refused against a subgroup of K, which is absurd.  So with
+    `divisor` the p-part of |G| the result is a Sylow p-subgroup (every
+    p-subgroup lies in one), and with `divisor` = |G|/|S| for a normal
+    Sylow S it is a complement of S (Schur-Zassenhaus: by existence and
+    conjugacy, every subgroup of order prime to p lies in a complement).
     """
+    gens, members = [], {G.identity}
+    for x in np.flatnonzero(divisor % G.element_orders == 0).tolist():
+        if len(members) == divisor:
+            break
+        if x in members:
+            continue
+        try:
+            T = closure_elements(G.mul, G.identity, gens + [x], cap=divisor)
+        except OrderBudgetExceeded:
+            continue
+        if divisor % len(T) == 0:
+            gens.append(x)
+            members = set(T)
+    return SubgroupHandle(G, members)
+
+
+def sylow_subgroup(G, p):
+    """A p-Sylow subgroup, deterministic: the lexicographically least conjugate
+    of the greedy growth's maximal p-subgroup (all Sylow subgroups are
+    conjugate)."""
     p = int(p)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -377,29 +397,7 @@ def sylow_subgroup(G, p):
     while n % p == 0:
         target *= p
         n //= p
-    P = trivial_subgroup(G)
-    while P.order < target:
-        N, _ = normalizer_centralizer(G, P)
-        grown = False
-        for x in N.elements:
-            if P.contains(x):
-                continue
-            o = G.element_order(x)
-            while o % p == 0:
-                o //= p
-            if o != 1:
-                continue
-            elems = closure_elements(G.mul, G.identity, list(P.elements) + [x])
-            size = len(elems)
-            while size % p == 0:
-                size //= p
-            if size == 1 and len(elems) > P.order:
-                P = SubgroupHandle(G, elems)
-                grown = True
-                break
-        if not grown:  # unreachable for a genuine group table
-            raise SpecInvalid("Sylow growth failed; table is not a group")
-    return P.canonical_conjugate()
+    return _grow_subgroup(G, target).canonical_conjugate()
 
 
 def core(G, H):
@@ -490,12 +488,10 @@ def abelianization(G):
     return structure, proj
 
 
-def complement(G, S, budget=200000):
+def complement(G, S):
     """A complement of a normal Sylow subgroup S: C with C*S = G, C∩S = 1.
 
-    Deterministic breadth-first search over generator subsets of size <= 3
-    drawn from elements whose order divides the index; raises
-    SearchBudgetExceeded past the subset-size bound or the closure budget.
+    The greedy growth's maximal subgroup of order dividing |G|/|S|.
     """
     size, rest = S.order, G.order // S.order
     if size > 1:
@@ -507,27 +503,10 @@ def complement(G, S, budget=200000):
             raise PreconditionFailed("S is not a Sylow subgroup")
         if not S.is_normal:
             raise PreconditionFailed("S is not normal")
-    if size == 1:
-        return full_subgroup(G)
-    if rest == 1:
-        return trivial_subgroup(G)
-    pool = [
-        x for x in G.elements() if x != G.identity and rest % G.element_order(x) == 0
-    ]
-    sset = S._set
-    tried = 0
-    for take in (1, 2, 3):
-        for combo in itertools.combinations(pool, take):
-            tried += 1
-            if tried > budget:
-                raise SearchBudgetExceeded("complement search budget exhausted")
-            try:
-                elems = closure_elements(G.mul, G.identity, combo, cap=rest)
-            except OrderBudgetExceeded:
-                continue
-            if len(elems) == rest and len(sset.intersection(elems)) == 1:
-                return SubgroupHandle(G, elems)
-    raise SearchBudgetExceeded("no complement found with <= 3 generators")
+    C = _grow_subgroup(G, rest)
+    if C.order != rest:  # unreachable for a genuine group table
+        raise SpecInvalid("complement growth failed; table is not a group")
+    return C
 
 
 def subgroup_classes(G, divisor=None, max_count=200000):

@@ -26,7 +26,6 @@ from .errors import (
     HypothesisViolated,
     NotPrime,
     PreconditionFailed,
-    SearchBudgetExceeded,
 )
 from .catalog import a4_shape_spec, beta_shape_spec, cyclic_spec
 from .finab import FinAb, _factorize
@@ -183,21 +182,6 @@ def _p_part(p, conds, S, closed):
     return FinAb.trivial()
 
 
-def _complement_pair(G, S, H):
-    """(G', H') with G = S ⋊ G' and a Sylow-conjugate of H equal to
-    (S∩H) ⋊ H'; H' is realized as G' ∩ sHs^{-1} for the least s in S."""
-    Gp = complement(G, S)
-    target = H.order // len(set(S.elements) & set(H.elements))
-    in_gp = np.zeros(G.order, dtype=bool)
-    in_gp[list(Gp.elements)] = True
-    conj = H.conjugates()[list(S.elements)]  # row i: s_i H s_i^-1
-    hits = np.flatnonzero(in_gp[conj].sum(axis=1) == target)
-    if not hits.size:
-        raise HypothesisViolated("no Sylow conjugate of H splits over the complement")
-    row = conj[hits[0]]
-    return Gp, SubgroupHandle(G, row[in_gp[row]].tolist())
-
-
 def sha_prime_to_p(G, H, p, dset=(), budget=DEFAULT_COCHAIN_BUDGET):
     """The prime-to-p part, via brute force on the complement pair.
 
@@ -211,6 +195,8 @@ def sha_prime_to_p(G, H, p, dset=(), budget=DEFAULT_COCHAIN_BUDGET):
 
 
 def _prime_to_p(G, H, S, closed, budget):
+    """Sha of the complement pair (G', H') by brute force: G' is a complement
+    of S, and H' = G' ∩ SH, so that SH = S ⋊ H' and |H'| = |H|/|S∩H|."""
     SH = subgroup_closure(G, list(S.elements) + list(H.elements))
     cert_prime = is_prime(SH.index)
     cert_cyclic = all(D.is_cyclic for D in closed)
@@ -218,10 +204,8 @@ def _prime_to_p(G, H, S, closed, budget):
         raise CertificateUnavailable(
             "no certificate that the dset kernel matches the all-cyclic kernel"
         )
-    Gp, Hp = _complement_pair(G, S, H)
-    sub, elems = Gp.as_group()
-    pos = {x: i for i, x in enumerate(elems)}
-    Hp_local = SubgroupHandle(sub, tuple(pos[x] for x in Hp.elements))
+    sub, elems = complement(G, S).as_group()
+    Hp_local = SubgroupHandle(sub, [i for i, x in enumerate(elems) if SH.contains(x)])
     J, _ = j_lattice(sub, [(Hp_local, 1)])
     result = sha(sub, J, [], budget)
     return result.structure
@@ -293,7 +277,7 @@ def sha_full(G, H, p, dset=(), method="both", budget=DEFAULT_COCHAIN_BUDGET):
             ppart = _p_part(p, report.conditions, S, closed)
             theorem_result = ppart + _prime_to_p(G, H, S, closed, budget)
             report.theorem_result = theorem_result
-        except (HypothesisViolated, CertificateUnavailable, SearchBudgetExceeded) as exc:
+        except (HypothesisViolated, CertificateUnavailable) as exc:
             if method == "theorem":
                 raise
             report.warnings.append(f"structural path unavailable: {exc}")

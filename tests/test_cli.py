@@ -73,7 +73,7 @@ def test_resolve_subgroup():
     assert resolve_subgroup(G, "trivial").order == 1
     assert resolve_subgroup(G, "sylow:2").order == 4
     assert resolve_subgroup(G, "0,1").order == 2
-    assert resolve_subgroup(G, "all").order == 12
+    assert resolve_subgroup(G, "all").elements == tuple(range(12))
 
 
 # -- verbs -------------------------------------------------------------------------
@@ -160,6 +160,21 @@ def test_scan_verb(capsys):
     assert report["results"]["hit_count"] > 0
     assert report["results"]["complete"] is True
     assert "pprime_order_cap" in report["provenance"]["budgets"]
+
+
+def test_sha_theorem_with_four_generator_complement(capsys):
+    spec = {
+        "kind": "semidirect",
+        "p": 3,
+        "m": 1,
+        "matrices": [[[-1]], [[1]], [[1]], [[1]]],
+        "acting": abelian_spec(2, 2, 2, 2),
+    }
+    argv = ["sha", "--group", json.dumps(spec), "--subgroup", "24", "--p", "3",
+            "--method", "theorem"]
+    code, report = run_capture(capsys, argv)
+    assert code == EXIT_OK
+    assert report["results"]["result"] == [2, 2, 2]
 
 
 def test_determinism_modulo_timing(capsys):

@@ -44,7 +44,8 @@ from normone.groups import (
     trivial_subgroup,
     vector_index,
 )
-from normone.reps import s3_standard_rep
+from normone import groups
+from normone.reps import _gl2_group, s3_standard_rep
 from normone.structure import composite_sha_witness
 
 
@@ -476,19 +477,71 @@ def test_abelianization_is_a_surjective_homomorphism(G):
     assert len(set(proj)) == ab.order == G.order // derived_subgroup(G).order
 
 
+def _growth_groups():
+    """The catalog groups plus S4, A5 and GL_2(F_3), each with its primes."""
+    named = [(name, catalog_group(name)) for name in catalog_names()]
+    named += [(name, build_group(_SEARCH_GROUPS[name])) for name in ("S4", "A5")]
+    named.append(("GL2(F3)", _gl2_group(3)[0]))
+    for name, G in named:
+        yield name, G, [p for p in range(2, G.order + 1) if G.order % p == 0 and _is_prime(p)]
+
+
+def _p_part(n, p):
+    q = 1
+    while n % p == 0:
+        n, q = n // p, q * p
+    return q
+
+
+def test_sylow_subgroup_is_least_sylow_of_all_subgroups():
+    for name, G, primes in _growth_groups():
+        subs = all_subgroups(G)
+        for p in primes:
+            target = _p_part(G.order, p)
+            least = min(H.elements for H in subs if H.order == target)
+            assert sylow_subgroup(G, p).elements == least, (name, p)
+
+
 def test_complement_examples():
     G4 = a4()
     S = sylow_subgroup(G4, 2)
     C = complement(G4, S)
     assert C.order == 3
-    assert len(set(C.elements) & set(S.elements)) == 1
     products = {int(G4.mul[c, s]) for c in C.elements for s in S.elements}
     assert len(products) == 12
-    Z6 = catalog_group("Z6")
-    C6 = complement(Z6, sylow_subgroup(Z6, 3))
-    assert C6.order == 2
+    checked = 0
+    for name, G, primes in _growth_groups():
+        for p in primes:
+            S = sylow_subgroup(G, p)
+            if not S.is_normal:
+                continue
+            C = complement(G, S)
+            assert C.order == G.order // S.order, (name, p)
+            assert set(C.elements) & set(S.elements) == {G.identity}, (name, p)
+            checked += 1
+    assert checked == 16
     with pytest.raises(PreconditionFailed):
         complement(s3(), sylow_subgroup(s3(), 2))  # not normal
+
+
+def test_growth_never_builds_a_closure_past_its_divisor(monkeypatch):
+    sizes = []
+
+    def recording(mul, identity, gens, cap=None):
+        out = closure_elements(mul, identity, gens, cap)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(groups, "closure_elements", recording)
+    for name, G, primes in _growth_groups():
+        for p in primes:
+            sizes.clear()
+            S = sylow_subgroup(G, p)
+            assert max(sizes, default=1) <= S.order, (name, p)
+            if S.is_normal:
+                sizes.clear()
+                complement(G, S)
+                assert max(sizes, default=1) <= G.order // S.order, (name, p)
 
 
 def test_complement_beta_group():

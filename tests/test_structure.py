@@ -163,6 +163,23 @@ def test_prime_to_p_values():
     assert sha_prime_to_p(Gw, Hw, 2) == FinAb.cyclic(3)  # bicyclic value on (Z/3)^2
 
 
+def test_theorem_path_finds_a_four_generator_complement():
+    # F_3 ⋊ (Z/2)^4, only the first Z/2 acting (by -1): the complement (Z/2)^4
+    # needs four generators, and H' = G' ∩ SH is (Z/2)^3 with H the involution
+    spec = {
+        "kind": "semidirect",
+        "p": 3,
+        "m": 1,
+        "matrices": [[[-1]], [[1]], [[1]], [[1]]],
+        "acting": abelian_spec(2, 2, 2, 2),
+    }
+    G = build_group(spec)
+    H = subgroup_closure(G, [G.gens[1]])
+    theorem = sha_full(G, H, 3, method="theorem").result
+    assert theorem == FinAb.from_factors([2, 2, 2])
+    assert theorem == sha_full(G, H, 3, method="brute").result
+
+
 def test_prime_to_p_certificate_gate():
     spec, Hw, _ = composite_sha_witness(2, "i")
     Gw = Hw.parent
