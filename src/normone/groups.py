@@ -7,7 +7,9 @@ conjugates, cores, normalizers, centralizers, commutators, cyclic
 subgroups) are whole-table numpy gathers over `mul` and `inv`, such as
 `mul[mul[:, H], inv[:, None]]` for all conjugates of H at once.  One
 saturation search, `subgroup_classes`, enumerates subgroups up to
-conjugacy; `all_subgroups` and the GL_2 scan of `reps` both read it.  One
+conjugacy with one closure per double coset R y R of each representative R
+(<R, s y^k s'> = <R, y> for s, s' in R and k prime to the order of y);
+`all_subgroups` and the GL_2 scan of `reps` both read it.  One
 greedy growth, `_grow_subgroup`, finds a subgroup maximal among those of
 order dividing a given number: a Sylow subgroup, or a complement of a
 normal Sylow subgroup.  All
@@ -340,13 +342,19 @@ def full_subgroup(G):
     return SubgroupHandle(G, tuple(range(G.order)))
 
 
+def _power_table(G):
+    """Row g lists g^0, g^1, ..., one column per exponent below the largest
+    element order, so row g runs through <g>."""
+    powers = [np.full(G.order, G.identity), np.arange(G.order)]  # column k: g^k
+    while len(powers) < G.element_orders.max():
+        powers.append(G.mul[powers[-1], powers[1]])
+    return np.stack(powers, axis=1)
+
+
 def cyclic_subgroups(G):
     """All cyclic subgroups of G, trivial subgroup included, deduplicated."""
     orders = G.element_orders
-    powers = [np.full(G.order, G.identity), np.arange(G.order)]  # column k: g^k
-    while len(powers) < orders.max():
-        powers.append(G.mul[powers[-1], powers[1]])
-    powers = np.stack(powers, axis=1)  # row g runs through <g>
+    powers = _power_table(G)
     # <g> is named by its least element of the same order as g
     gens = np.where(orders[powers] == orders[:, None], powers, G.order).min(axis=1)
     out = [SubgroupHandle(G, np.unique(powers[g]).tolist()) for g in np.unique(gens)]
@@ -423,17 +431,25 @@ def normalizer_centralizer(G, H):
     )
 
 
-def commutator_subgroup(G, A, B):
-    """Subgroup generated by commutators a b a^{-1} b^{-1}, a in A, b in B."""
-    a = np.array(A.elements, dtype=np.int64)
-    b = np.array(B.elements, dtype=np.int64)
+def commutator_subgroup(G, A, B=None):
+    """Subgroup generated by commutators a b a^{-1} b^{-1}, a in A, b in B.
+
+    A or B given as None stands for all of G.  Commutators are joined in
+    index order, each only when the closure so far misses it.
+    """
+    a, b = (np.arange(G.order) if X is None else np.array(X.elements) for X in (A, B))
     comms = G.mul[G.mul[np.ix_(a, b)], G.mul[np.ix_(G.inv[a], G.inv[b])]]
-    return SubgroupHandle(G, closure_elements(G.mul, G.identity, np.unique(comms).tolist()))
+    gens, members = [], np.zeros(G.order, dtype=bool)
+    members[G.identity] = True
+    for c in np.unique(comms).tolist():
+        if not members[c]:
+            gens.append(c)
+            members[list(closure_elements(G.mul, G.identity, gens))] = True
+    return SubgroupHandle(G, np.flatnonzero(members).tolist())
 
 
 def derived_subgroup(G):
-    full = full_subgroup(G)
-    return commutator_subgroup(G, full, full)
+    return commutator_subgroup(G, None)
 
 
 def double_cosets(G, D, H):
@@ -522,12 +538,21 @@ def subgroup_classes(G, divisor=None, max_count=200000):
     g K_j g^-1 is a representative R, for K_j = <x_1..x_j>, then
     g K_{j+1} g^-1 is R joined with g x_{j+1} g^-1, a join the search
     makes: the pool is closed under conjugation, and every K_j has order
-    dividing `divisor`.  Returns the representatives as sorted element
-    tuples and the number of distinct subgroups met; raises BudgetExceeded
-    past `max_count` of them.
+    dividing `divisor`.
+
+    One closure per double coset: once R has been joined with y, every
+    s y^k s' (s, s' in R, k prime to the order of y) is skipped, since
+    <R, s y^k s'> = <R, y>.  Such a join could only meet a subgroup already
+    registered, or one already refused for its size, so the classes, their
+    order and generators, the count and the point where the budget runs
+    out are those of joining every pool element.  Returns the
+    representatives as sorted element tuples and the number of distinct
+    subgroups met; raises BudgetExceeded past `max_count` of them.
     """
     divisor = G.order if divisor is None else int(divisor)
     pool = np.flatnonzero(divisor % G.element_orders == 0).tolist()
+    powers = _power_table(G)
+    orders = G.element_orders
     seen = set()
     keys = set()
     classes = []  # (elements, generators)
@@ -546,27 +571,28 @@ def subgroup_classes(G, divisor=None, max_count=200000):
             keys.add(key)
             classes.append((elems, gens))
 
-    def closure(gens):
-        try:
-            return closure_elements(G.mul, G.identity, gens, cap=divisor)
-        except OrderBudgetExceeded:
-            return None
-
     for t in pool:
-        S = closure([t])
-        if S is not None:
-            register(S, [t])
+        register(tuple(np.unique(powers[t]).tolist()), [t])
     qi = 0
     while qi < len(classes):
         S, gens = classes[qi]
         qi += 1
-        members = set(S)
+        s = np.array(S)
+        done = np.zeros(G.order, dtype=bool)
+        done[s] = True
         for y in pool:
-            if y in members:
+            if done[y]:
                 continue
-            T = closure(gens + [y])
-            if T is not None and divisor % len(T) == 0:
-                register(T, gens + [y])
+            try:
+                T = closure_elements(G.mul, G.identity, gens + [y], cap=divisor)
+            except OrderBudgetExceeded:
+                pass
+            else:
+                if divisor % len(T) == 0:
+                    register(T, gens + [y])
+            cyc = powers[y, : orders[y]]
+            y_gens = cyc[orders[cyc] == orders[y]]  # y^k, k prime to the order of y
+            done[G.mul[np.ix_(G.mul[np.ix_(s, y_gens)].ravel(), s)]] = True
     return [S for S, _ in classes], len(seen)
 
 

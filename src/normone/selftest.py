@@ -9,7 +9,7 @@ not marked full-only.  The criteria, by number:
    4 prime-index-zeros: Sha vanishes at prime index
    5 annihilation-bounds: the index kills Sha, 2 does at index 2q, no p-part below s_min(p)
    6 degree-table: s_min and the degree sets at 55, 91 and 95
-   7 representation-scans: at p=5 the scan hits n iff 5n is in D1 or D2
+   7 representation-scans: at p=5 and 7 the scan hits n iff pn is in D1 or D2
    9 carter-fong-orders: the 2-Sylow order of GL_2(F_p)
   10 composite-witness-36: the order-36 witness has Sha = Z/6 by both paths
   11 shapiro-and-induced-kernels: H^2 of an induced lattice is H^ab; Sha is 0
@@ -161,14 +161,14 @@ def _a4_cross_validation(budget):
 
 
 def _scan_battery(budget):
-    for n in (2, 3, 4, 6):
-        report = exhaustive_scan(5, n)
+    for p, n in itertools.product((5, 7), (2, 3, 4, 6)):
+        report = exhaustive_scan(p, n)
         assert report.complete and {"max_subgroups", "pprime_order_cap"} <= set(report.budget)
-        flagged = d_membership(5 * n, 5)
-        assert bool(report.hits) == (flagged.in_D1 or flagged.in_D2), f"n={n}"
-        if n == 4:
+        flagged = d_membership(p * n, p)
+        assert bool(report.hits) == (flagged.in_D1 or flagged.in_D2), f"p={p}, n={n}"
+        if (p, n) == (5, 4):
             assert report.hits and all(h.group_order == 4 and h.group_cyclic for h in report.hits)
-    return "p=5, n in {2,3,4,6}"
+    return "p in {5,7}, n in {2,3,4,6}"
 
 
 def _degree_table(budget):

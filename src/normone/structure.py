@@ -36,7 +36,6 @@ from .groups import (
     complement,
     core,
     extend_from_generators,
-    full_subgroup,
     is_prime,
     normalizer_centralizer,
     subgroup_closure,
@@ -162,7 +161,7 @@ def p_part_conditions(G, H, p):
     a = S.order == p * p and all(
         G.element_order(x) == p for x in S.elements if x != G.identity
     )
-    b = commutator_subgroup(G, S, full_subgroup(G)).elements == S.elements
+    b = commutator_subgroup(G, S).elements == S.elements
     meet = SubgroupHandle(G, tuple(sorted(set(S.elements) & set(H.elements))))
     N, Z = normalizer_centralizer(G, meet)
     c = N.elements == Z.elements
@@ -196,8 +195,9 @@ def sha_prime_to_p(G, H, p, dset=(), budget=DEFAULT_COCHAIN_BUDGET):
 
 def _prime_to_p(G, H, S, closed, budget):
     """Sha of the complement pair (G', H') by brute force: G' is a complement
-    of S, and H' = G' ∩ SH, so that SH = S ⋊ H' and |H'| = |H|/|S∩H|."""
-    SH = subgroup_closure(G, list(S.elements) + list(H.elements))
+    of S, and H' = G' ∩ SH, so that SH = S ⋊ H' and |H'| = |H|/|S∩H|.
+    S is normal, so SH is the set of products s h."""
+    SH = SubgroupHandle(G, np.unique(G.mul[np.ix_(S.elements, H.elements)]).tolist())
     cert_prime = is_prime(SH.index)
     cert_cyclic = all(D.is_cyclic for D in closed)
     if not (cert_prime or cert_cyclic):

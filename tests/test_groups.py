@@ -263,6 +263,7 @@ def test_subgroup_primitives_match_loop_definitions(name):
     full = full_subgroup(G)
     for H in all_subgroups(G):
         assert commutator_subgroup(G, H, full).elements == _loop_commutator(G, H, full)
+        assert commutator_subgroup(G, H).elements == _loop_commutator(G, H, full)
         assert commutator_subgroup(G, H, H).elements == _loop_commutator(G, H, H)
         N, Z = normalizer_centralizer(G, H)
         assert (N.elements, Z.elements) == _loop_normalizer_centralizer(G, H)
@@ -314,6 +315,72 @@ def test_subgroup_search_matches_queue_over_all_subgroups(name):
         got = [SubgroupHandle(G, S).canonical_conjugate().elements for S in classes]
         assert sorted(got) == sorted(expected), (name, d)
         assert len(classes) <= seen <= sum(d % h.order == 0 for h in reference)
+
+
+def _closure_per_pool_element(G, divisor=None, max_count=200000):
+    """`subgroup_classes` as it was before the double-coset skip: one closure
+    for every pair of class representative and pool element.  The reference
+    for the skip's exactness; the budget error is raised at the same point."""
+    divisor = G.order if divisor is None else int(divisor)
+    pool = np.flatnonzero(divisor % G.element_orders == 0).tolist()
+    seen, keys, classes = set(), set(), []
+
+    def register(elems, gens):
+        if elems in seen:
+            return
+        if len(seen) >= max_count:
+            raise BudgetExceeded("budget", sizes={"subgroups": len(seen), "budget": max_count})
+        seen.add(elems)
+        key = SubgroupHandle(G, elems).canonical_conjugate().elements
+        if key not in keys:
+            keys.add(key)
+            classes.append((elems, gens))
+
+    def closure(gens):
+        try:
+            return closure_elements(G.mul, G.identity, gens, cap=divisor)
+        except OrderBudgetExceeded:
+            return None
+
+    for t in pool:
+        register(closure([t]), [t])
+    qi = 0
+    while qi < len(classes):
+        S, gens = classes[qi]
+        qi += 1
+        for y in pool:
+            if y in S:
+                continue
+            T = closure(gens + [y])
+            if T is not None and divisor % len(T) == 0:
+                register(T, gens + [y])
+    return [S for S, _ in classes], len(seen)
+
+
+def _gl2_pprime(p):
+    return _gl2_group(p)[0], (p * p - 1) * (p - 1)
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["GL2(F3)", "GL2(F5)"])
+def test_subgroup_classes_match_one_closure_per_pool_element(name):
+    if name.startswith("GL2"):
+        G, cap = _gl2_pprime(int(name[-2]))
+        divisors = [cap]
+    else:
+        G = catalog_group(name)
+        divisors = [d for d in range(1, G.order + 1) if G.order % d == 0]
+    for d in divisors:
+        assert subgroup_classes(G, d) == _closure_per_pool_element(G, d), (name, d)
+
+
+@pytest.mark.parametrize("max_count", [1, 2, 9, 30, 150, 290])
+def test_subgroup_classes_budget_matches_one_closure_per_pool_element(max_count):
+    G, cap = _gl2_pprime(5)
+    with pytest.raises(BudgetExceeded) as ref:
+        _closure_per_pool_element(G, cap, max_count)
+    with pytest.raises(BudgetExceeded) as err:
+        subgroup_classes(G, cap, max_count)
+    assert err.value.sizes == ref.value.sizes == {"subgroups": max_count, "budget": max_count}
 
 
 def test_subgroup_classes_budget():

@@ -266,11 +266,13 @@ def test_gl2_table_is_matrix_product(p):
 
 
 def test_scan_counts_pinned():
-    for p, classes, seen in ((3, 9, 31), (5, 30, 291)):
+    for p, classes, seen in ((3, 9, 31), (5, 30, 291), (7, 50, 1028)):
         report = exhaustive_scan(p, 2)
         assert (report.group_classes, report.subgroups_seen) == (classes, seen)
     hits = {n: len(exhaustive_scan(5, n).hits) for n in (2, 3, 4, 6, 8, 12)}
     assert hits == {2: 0, 3: 9, 4: 4, 6: 3, 8: 0, 12: 0}
+    hits = {n: len(exhaustive_scan(7, n).hits) for n in (2, 3, 4, 6, 9, 12)}
+    assert hits == {2: 0, 3: 9, 4: 0, 6: 15, 9: 0, 12: 0}
 
 
 def test_scan_refuses_primes_beyond_the_table():
