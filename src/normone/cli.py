@@ -4,12 +4,13 @@ Verbs: sha, scan-reps, dset, classify, witness, selftest.  Reports go to
 stdout as JSON (sorted keys, so identical inputs give byte-identical output
 apart from the timing block, which is excluded from the digest);
 diagnostics go to stderr.  Exit codes: 0 success, 1 hypothesis violations,
-2 budget overruns, 3 parse/schema errors.
+2 budget overruns, 3 parse/schema errors (command-line usage errors too).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -293,8 +294,17 @@ def cmd_selftest(args):
     return report, EXIT_OK if results["failed"] == 0 else EXIT_HYPOTHESIS
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors raise SchemaError instead of exiting 2."""
+
+    def error(self, message):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built once per process (on the first run)."""
+    parser = _Parser(
         prog="normone",
         description="Obstruction groups of norm-one tori: structural and brute-force evaluation",
     )
@@ -332,11 +342,6 @@ def build_parser():
 
 def run(argv):
     """Dispatch a parsed command; always emit a report; map errors to codes."""
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     handlers = {
         "sha": cmd_sha,
         "scan-reps": cmd_scan_reps,
@@ -345,6 +350,13 @@ def run(argv):
         "witness": cmd_witness,
         "selftest": cmd_selftest,
     }
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
+    except SchemaError as exc:
+        _emit_error(argv[0] if argv and argv[0] in handlers else None, exc, EXIT_PARSE)
+        return EXIT_PARSE
     try:
         for name in ("p", "ell"):  # the range of spec integers, positive
             value = getattr(args, name, None)

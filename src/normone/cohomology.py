@@ -312,7 +312,7 @@ class ShaGroup:
 def close_dset(G, dset):
     """Augment a family of subgroups with all cyclic subgroups, dedupe, sort."""
     seen = {}
-    for h in list(dset) + cyclic_subgroups(G):
+    for h in (*dset, *cyclic_subgroups(G)):
         if h.parent is not G:
             raise GroupMismatch("dset member lives in a different group")
         seen[h.elements] = h

@@ -90,7 +90,8 @@ class GroupSpec:
 class FiniteGroup:
     """Explicit finite group: multiplication table plus element indexing."""
 
-    __slots__ = ("order", "mul", "inv", "identity", "label", "gens", "_orders", "_abelian", "_tree")
+    __slots__ = ("order", "mul", "inv", "identity", "label", "gens", "_orders", "_abelian", "_tree",
+                 "_cyclic")
 
     def __init__(self, mul, identity, label="", gens=None, validate=True):
         mul = np.asarray(mul, dtype=np.int64)
@@ -103,6 +104,7 @@ class FiniteGroup:
         self._orders = None
         self._abelian = None
         self._tree = None
+        self._cyclic = None
         inv = np.full(self.order, -1, dtype=np.int64)
         for g in range(self.order):
             hits = np.flatnonzero(mul[g] == self.identity)
@@ -352,14 +354,16 @@ def _power_table(G):
 
 
 def cyclic_subgroups(G):
-    """All cyclic subgroups of G, trivial subgroup included, deduplicated."""
-    orders = G.element_orders
-    powers = _power_table(G)
-    # <g> is named by its least element of the same order as g
-    gens = np.where(orders[powers] == orders[:, None], powers, G.order).min(axis=1)
-    out = [SubgroupHandle(G, np.unique(powers[g]).tolist()) for g in np.unique(gens)]
-    out.sort(key=lambda h: (h.order, h.elements))
-    return out
+    """All cyclic subgroups of G, trivial subgroup included, deduplicated,
+    as a tuple sorted by (order, elements); computed once per group."""
+    if G._cyclic is None:
+        orders = G.element_orders
+        powers = _power_table(G)
+        # <g> is named by its least element of the same order as g
+        gens = np.where(orders[powers] == orders[:, None], powers, G.order).min(axis=1)
+        out = [SubgroupHandle(G, np.unique(powers[g]).tolist()) for g in np.unique(gens)]
+        G._cyclic = tuple(sorted(out, key=lambda h: (h.order, h.elements)))
+    return G._cyclic
 
 
 def _grow_subgroup(G, divisor):

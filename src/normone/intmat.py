@@ -1,9 +1,9 @@
 """Exact integer matrix kernels: Hermite/Smith reduction, solving, lattices.
 
-Everything here is exact over the integers: the row-echelon accumulator and
-the Smith reduction both work on object arrays of arbitrary-precision Python
-ints.  Pivoting is deterministic with a swap-to-smallest rule to keep
-entries small.
+Everything here is exact over the integers, on arbitrary-precision Python
+ints: the row-echelon accumulator keeps sparse rows {column: nonzero int},
+and the Smith reduction works on object arrays.  Pivoting is deterministic
+with a swap-to-smallest rule to keep entries small.
 """
 
 from __future__ import annotations
@@ -28,6 +28,23 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
+def _axpy(v, q, w):
+    """v -= q * w in place, on sparse rows {column: nonzero int}."""
+    for c, x in w.items():
+        y = v.get(c, 0) - q * x
+        if y:
+            v[c] = y
+        else:
+            del v[c]
+    return v
+
+
+def _combine(a, v, b, w):
+    """The sparse row a * v + b * w."""
+    out = {c: a * x for c, x in v.items()} if a else {}
+    return _axpy(out, -b, w)
+
+
 class RowEchelon:
     """Incremental exact integer row-echelon accumulator.
 
@@ -36,79 +53,83 @@ class RowEchelon:
     positive, and every other row's entry in a pivot column lies in
     [0, pivot).  The basis spans the same lattice as the input rows, so
     Smith invariants of a huge input matrix can be read off the
-    (rank x ncols) accumulated basis.
+    (rank x ncols) accumulated basis.  Rows are kept sparse, as
+    {column: nonzero int}: a reduction step touches only the support of
+    the pivot row it subtracts.
     """
 
     dtype = object  # rows hold Python ints; perfbench/tracer.py reads this
 
     def __init__(self, ncols):
         self.ncols = int(ncols)
-        self._rows = {}  # pivot column -> row vector
+        self._rows = {}  # pivot column -> sparse row
         self._cols = []  # the pivot columns, ascending
 
     def add_rows(self, rows):
         rows = np.asarray(rows)
-        # Python ints throughout, also where an object array holds numpy scalars
-        rows = np.frompyfunc(int, 1, 1)(rows) if rows.dtype == object else rows.astype(object)
         if rows.ndim == 1:
             rows = rows.reshape(1, -1)
         for row in rows:
-            self._add_one(row.copy())
+            nz = row.nonzero()[0]
+            if nz.size:
+                # Python ints, also where an object array holds numpy scalars
+                self._add_one({c: int(x) for c, x in zip(nz.tolist(), row[nz].tolist())})
 
     def _reduce(self, r, j):
         """r with its entries in the pivot columns after j put in [0, pivot)."""
         for c in self._cols[bisect.bisect_right(self._cols, j):]:
-            piv = self._rows[c]
-            q = r[c] // piv[c]
-            if q:
-                r = r - q * piv
+            x = r.get(c)
+            if x is not None:
+                piv = self._rows[c]
+                q = x // piv[c]
+                if q:
+                    _axpy(r, q, piv)
         return r
 
     def _settle(self, j):
         # Hermite condition after row j was inserted or replaced: reduce row
         # j against the later pivots, then each earlier row against row j;
         # that touches its later columns, so reduce those again.
-        piv = self._rows[j] = self._reduce(self._rows[j], j)
+        piv = self._reduce(self._rows[j], j)
         lead = piv[j]
         for c in self._cols[: bisect.bisect_left(self._cols, j)]:
-            q = self._rows[c][j] // lead
+            row = self._rows[c]
+            q = row.get(j, 0) // lead
             if q:
-                self._rows[c] = self._reduce(self._rows[c] - q * piv, j)
+                self._reduce(_axpy(row, q, piv), j)
 
     def _add_one(self, v):
-        start = 0
-        while True:
-            nz = np.flatnonzero(v[start:])
-            if nz.size == 0:
-                return
-            j = start + int(nz[0])
+        while v:
+            j = min(v)
             pivot_row = self._rows.get(j)
             if pivot_row is None:
                 if v[j] < 0:
-                    v = -v
+                    v = {c: -x for c, x in v.items()}
                 self._rows[j] = v
                 bisect.insort(self._cols, j)
                 self._settle(j)
                 return
             a, b = pivot_row[j], v[j]
             if b % a == 0:
-                v = v - (b // a) * pivot_row
+                _axpy(v, b // a, pivot_row)
             else:
                 g, x, y = _xgcd(a, b)
-                self._rows[j] = x * pivot_row + y * v
-                v = (a // g) * v - (b // g) * pivot_row
+                self._rows[j] = _combine(x, pivot_row, y, v)
+                v = _combine(a // g, v, -(b // g), pivot_row)
                 self._settle(j)
-            start = j  # leading entry of v is now past j
+            # v now vanishes at j and before it
 
     @property
     def rank(self):
         return len(self._rows)
 
     def matrix(self):
-        """Stacked basis rows ordered by pivot column (object dtype)."""
-        if not self._rows:
-            return np.zeros((0, self.ncols), dtype=object)
-        return np.array([self._rows[c] for c in self._cols], dtype=object)
+        """Stacked basis rows ordered by pivot column (dense, object dtype)."""
+        out = np.zeros((len(self._cols), self.ncols), dtype=object)
+        for i, c in enumerate(self._cols):
+            for k, x in self._rows[c].items():
+                out[i, k] = x
+        return out
 
 
 def row_lattice_basis(A):
@@ -240,11 +261,6 @@ def invariant_factors(A):
     R = row_lattice_basis(A)
     diag, _, _, _ = smith(R)
     return diag
-
-
-def cokernel_torsion(A):
-    """Invariant factors > 1 of Z^rows / (column lattice of A)."""
-    return [d for d in invariant_factors(A) if d > 1]
 
 
 def kernel_basis(A):

@@ -318,6 +318,37 @@ def test_sha_never_raises_on_random_specs(spec, subgroup, p):
     # every outcome is a report with a documented exit code, never a
     # traceback; the small budget keeps brute force on order-120 groups short
     argv = ["sha", "--group", json.dumps(spec), f"--subgroup={subgroup}", f"--p={p}"]
+    out = io.StringIO()
     with mock.patch.dict(os.environ, {"SHA_BUDGET": "3000"}), \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert run(argv) in (EXIT_OK, EXIT_HYPOTHESIS, EXIT_BUDGET, EXIT_PARSE)
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (EXIT_OK, EXIT_HYPOTHESIS, EXIT_BUDGET, EXIT_PARSE)
+    report = json.loads(out.getvalue())
+    if p == "x":  # not an integer: a usage error
+        assert code == EXIT_PARSE and report["error"]["type"] == "SchemaError"
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["sha", "--p", "5"], "sha"),  # --group is required
+        (["sha", "--group", Z2, "--p", "five"], "sha"),
+        (["sha", "--group", Z2, "--p", "2", "--method", "guess"], "sha"),
+        (["frobnicate", "--p", "5"], None),  # no such verb
+        ([], None),
+    ],
+)
+def test_usage_errors_exit_with_schema_error(capsys, argv, command):
+    # argparse's own errors are reports too, with the parse exit code
+    code, report = run_capture(capsys, argv)
+    assert code == EXIT_PARSE
+    assert report["command"] == command
+    assert report["error"] == {"type": "SchemaError", "exit_code": EXIT_PARSE,
+                               "message": report["warnings"][0]}
+    assert "usage" not in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert run(["--help"]) == EXIT_OK
+    assert run(["sha", "--help"]) == EXIT_OK
+    assert "--group" in capsys.readouterr().out

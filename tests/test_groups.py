@@ -85,7 +85,7 @@ def test_permutation_closure_matches_direct_composition():
 def test_trivial_group():
     z1 = build_group(cyclic_spec(1))
     assert z1.order == 1
-    assert cyclic_subgroups(z1) == [trivial_subgroup(z1)]
+    assert cyclic_subgroups(z1) == (trivial_subgroup(z1),)
 
 
 def test_semidirect_shape():
@@ -178,6 +178,9 @@ def test_cyclic_subgroups_by_enumeration():
             expected.add(tuple(sorted(acc)))
         got = {h.elements for h in cyclic_subgroups(G)}
         assert got == expected
+        # computed once per group, and immutable
+        assert isinstance(cyclic_subgroups(G), tuple)
+        assert cyclic_subgroups(G) is cyclic_subgroups(G)
 
 
 def test_cyclic_subgroup_counts():

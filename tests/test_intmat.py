@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 
@@ -70,9 +71,14 @@ def test_row_echelon_overflow_lift():
     assert prod == abs(det)
 
 
+def _cokernel_torsion(A):
+    """Invariant factors > 1 of Z^rows / (column lattice of A)."""
+    return [d for d in intmat.invariant_factors(A) if d > 1]
+
+
 def test_cokernel_torsion():
-    assert intmat.cokernel_torsion(np.array([[2, 0], [0, 3]])) == [2, 3] or \
-        intmat.cokernel_torsion(np.array([[2, 0], [0, 3]])) == [6]
+    assert _cokernel_torsion(np.array([[2, 0], [0, 3]])) == [2, 3] or \
+        _cokernel_torsion(np.array([[2, 0], [0, 3]])) == [6]
     # canonical: invariant factors of diag(2,3) are [1, 6]
     assert intmat.invariant_factors([[2, 0], [0, 3]]) == [1, 6]
 
@@ -161,6 +167,113 @@ def _check_hermite(rows, batches, dtype):
         assert intmat.solve_many(A.T, B.T) is not None
     else:
         assert not np.any(A)
+
+
+class _DenseEchelon:
+    """The dense reference for intmat.RowEchelon: the same pivot, xgcd and
+    settle steps, on whole object-array rows."""
+
+    def __init__(self, ncols):
+        self._rows = {}  # pivot column -> row vector
+        self._cols = []  # the pivot columns, ascending
+        self.ncols = ncols
+
+    def add_rows(self, rows):
+        rows = np.asarray(rows)
+        rows = np.frompyfunc(int, 1, 1)(rows) if rows.dtype == object else rows.astype(object)
+        for row in rows.reshape(-1, self.ncols):
+            self._add_one(row.copy())
+
+    def _reduce(self, r, j):
+        for c in self._cols[bisect.bisect_right(self._cols, j):]:
+            piv = self._rows[c]
+            q = r[c] // piv[c]
+            if q:
+                r = r - q * piv
+        return r
+
+    def _settle(self, j):
+        piv = self._rows[j] = self._reduce(self._rows[j], j)
+        lead = piv[j]
+        for c in self._cols[: bisect.bisect_left(self._cols, j)]:
+            q = self._rows[c][j] // lead
+            if q:
+                self._rows[c] = self._reduce(self._rows[c] - q * piv, j)
+
+    def _add_one(self, v):
+        start = 0
+        while True:
+            nz = np.flatnonzero(v[start:])
+            if nz.size == 0:
+                return
+            j = start + int(nz[0])
+            pivot_row = self._rows.get(j)
+            if pivot_row is None:
+                if v[j] < 0:
+                    v = -v
+                self._rows[j] = v
+                bisect.insort(self._cols, j)
+                self._settle(j)
+                return
+            a, b = pivot_row[j], v[j]
+            if b % a == 0:
+                v = v - (b // a) * pivot_row
+            else:
+                g, x, y = intmat._xgcd(a, b)
+                self._rows[j] = x * pivot_row + y * v
+                v = (a // g) * v - (b // g) * pivot_row
+                self._settle(j)
+            start = j
+
+    def matrix(self):
+        if not self._rows:
+            return np.zeros((0, self.ncols), dtype=object)
+        return np.array([self._rows[c] for c in self._cols], dtype=object)
+
+
+def _tall_sparse(max_entry):
+    """Tall, mostly-zero matrices, with zero, repeated and negated rows mixed in."""
+    entry = st.one_of(*[st.just(0)] * 3, st.integers(-max_entry, max_entry))  # 3 in 4 are 0
+
+    def rows(n):
+        base = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=30)
+        return base.flatmap(lambda rs: st.lists(
+            st.tuples(st.integers(0, len(rs) - 1), st.sampled_from([1, -1, 0])), max_size=12,
+        ).map(lambda picks: rs + [[sign * x for x in rs[i]] for i, sign in picks])
+        ).flatmap(st.permutations)
+
+    return st.integers(1, 8).flatmap(rows)
+
+
+def _as_array(rows, kind):
+    if kind == "int64":
+        return np.array(rows, dtype=np.int64)
+    A = np.array(rows, dtype=object)
+    if kind == "numpy scalars":  # an object array holding int64 scalars
+        A = np.frompyfunc(np.int64, 1, 1)(A)
+    return A
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 9, 2**62, 2**70]).flatmap(
+    lambda m: st.tuples(_tall_sparse(m), st.sampled_from(
+        ["object"] if m > 2**62 else ["int64", "object", "numpy scalars"]))),
+    st.integers(1, 3))
+def test_row_echelon_matches_dense_reference(case, batches):
+    # the sparse accumulator gives the dense loop's basis entry for entry,
+    # every entry a Python int, whatever the input dtype and batching
+    rows, kind = case
+    A = _as_array(rows, kind)
+    acc, ref = intmat.RowEchelon(A.shape[1]), _DenseEchelon(A.shape[1])
+    for chunk in np.array_split(A, batches):
+        if len(chunk) == 1:
+            chunk = chunk[0]  # a single row goes in 1-d
+        acc.add_rows(chunk)
+        ref.add_rows(chunk)
+    got, want = acc.matrix(), ref.matrix()
+    assert got.dtype == object and got.shape == want.shape == (acc.rank, A.shape[1])
+    assert all(type(x) is int for x in got.flat)
+    assert got.tolist() == want.tolist()
 
 
 # -- properties of the integer linear algebra ---------------------------------------------

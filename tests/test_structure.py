@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from normone import structure
+from normone import groups, structure
 from normone.catalog import (
     a4_shape_spec,
     abelian_spec,
@@ -223,6 +223,19 @@ def test_sha_full_evaluates_hypotheses_once(monkeypatch):
     rep = sha_full(G, H, 2, [sylow_subgroup(G, 2)], method="theorem")
     assert rep.theorem_result.is_trivial()
     assert calls == {"p_part_conditions": 1, "close_dset": 1, "sylow_subgroup": 1}
+
+
+def test_sha_full_both_finds_cyclic_subgroups_once(monkeypatch):
+    # both paths close the dset over the same cyclic subgroups: one power
+    # table per group, not one per path
+    calls = []
+    power_table = groups._power_table
+    monkeypatch.setattr(groups, "_power_table", lambda G: calls.append(G) or power_table(G))
+    G = a4()
+    H = subgroup_closure(G, [1])
+    rep = sha_full(G, H, 2, [], method="both")
+    assert rep.agreement is True
+    assert [K for K in calls if K is G] == [G]
 
 
 def test_sha_full_s3():
