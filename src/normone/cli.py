@@ -51,24 +51,28 @@ EXIT_PARSE = 3
 
 
 def load_group_spec(source):
-    """Parse and schema-check a group-spec document (JSON text or file path)."""
-    if isinstance(source, (dict,)):
-        doc = source
-    else:
-        text = source
-        if not source.lstrip().startswith("{"):
-            try:
+    """Parse and schema-check a group-spec document (JSON text or file path).
+
+    A document nested too deeply to parse or check is a ParseError too.
+    """
+    try:
+        if isinstance(source, dict):
+            doc = source
+        else:
+            text = source
+            if not source.lstrip().startswith("{"):
                 with open(source, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
-                raise ParseError(f"cannot read group spec: {exc}") from exc
-        try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"invalid group-spec document at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    return _validate_spec_dict(doc)
+        return _validate_spec_dict(doc)
+    except OSError as exc:
+        raise ParseError(f"cannot read group spec: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"invalid group-spec document at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except RecursionError as exc:
+        raise ParseError("group-spec document is nested too deeply") from exc
 
 
 def _is_int(x, low=-(2**63)):
@@ -152,7 +156,12 @@ def _emit(report, stream=None):
 
 def _budget():
     env = os.environ.get("SHA_BUDGET")
-    return int(env) if env else DEFAULT_COCHAIN_BUDGET
+    if not env:
+        return DEFAULT_COCHAIN_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise SchemaError(f"SHA_BUDGET must be an integer, got {env!r}") from None
 
 
 def _report(command, inputs, results, warnings=(), budgets=None, timing=None, **provenance):

@@ -99,17 +99,6 @@ class FinAb:
                 parts.append(q)
         return FinAb.from_factors(parts)
 
-    def prime_to_part(self, p):
-        """The component of order coprime to p."""
-        p = int(p)
-        parts = []
-        for d in self.factors:
-            while d % p == 0:
-                d //= p
-            if d > 1:
-                parts.append(d)
-        return FinAb.from_factors(parts)
-
     def __add__(self, other):
         """Direct sum, re-canonicalized."""
         return FinAb.from_factors(self.factors + other.factors)

@@ -90,8 +90,7 @@ class GroupSpec:
 class FiniteGroup:
     """Explicit finite group: multiplication table plus element indexing."""
 
-    __slots__ = ("order", "mul", "inv", "identity", "label", "gens", "_orders", "_abelian", "_tree",
-                 "_cyclic")
+    __slots__ = ("order", "mul", "inv", "identity", "label", "gens", "_orders", "_tree", "_cyclic")
 
     def __init__(self, mul, identity, label="", gens=None, validate=True):
         mul = np.asarray(mul, dtype=np.int64)
@@ -102,7 +101,6 @@ class FiniteGroup:
         self.identity = int(identity)
         self.label = label
         self._orders = None
-        self._abelian = None
         self._tree = None
         self._cyclic = None
         inv = np.full(self.order, -1, dtype=np.int64)
@@ -193,12 +191,6 @@ class FiniteGroup:
                         tree.append((g, i, h))
             self._tree = (tree, *np.nonzero(~on_tree))
         return self._tree
-
-    @property
-    def is_abelian(self):
-        if self._abelian is None:
-            self._abelian = bool((self.mul == self.mul.T).all())
-        return self._abelian
 
     def elements(self):
         return range(self.order)
@@ -450,10 +442,6 @@ def commutator_subgroup(G, A, B=None):
             gens.append(c)
             members[list(closure_elements(G.mul, G.identity, gens))] = True
     return SubgroupHandle(G, np.flatnonzero(members).tolist())
-
-
-def derived_subgroup(G):
-    return commutator_subgroup(G, None)
 
 
 def double_cosets(G, D, H):

@@ -258,13 +258,3 @@ def mackey_decompose(G, H, D):
         matrix[row, col] = 1
     cmap = LatticeMap(restricted, target, matrix)
     return summands, cmap
-
-
-def inflate(M, Gbig, quotient_of):
-    """Pull a lattice back along a surjection Gbig -> M.group.
-
-    `quotient_of` maps each element index of Gbig to its image index.
-    """
-    qm = [int(quotient_of[g]) for g in Gbig.elements()]
-    act = M.act[np.array(qm, dtype=np.int64)]
-    return GLattice(Gbig, act, label=f"{M.label}^infl")

@@ -8,6 +8,13 @@ and an exhaustive subgroup scan certifying the non-existence half.  The
 scan realizes GL_2(F_p), p <= 7, as a multiplication-table group; its
 coprime-order subgroup classes come from `groups.subgroup_classes` and the
 subgroups of each class from `groups.all_subgroups`.
+
+All plane arithmetic is on 2x2 integer matrices mod p.  F_{p^2} is
+F_p[W], its element a + bW the matrix a I + b W (`_fp2_root`), so a trace
+or a norm is a matrix trace or determinant.  `_line_action` tabulates how
+each matrix moves the p+1 lines and which lines it fixes pointwise, and
+every fixed-vector or line-stabilizer question is a reduction over that
+table.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from .finab import _factorize
 from .groups import (
     FiniteGroup,
     SubgroupHandle,
-    _rank_mod_p,
     all_subgroups,
     build_group,
     extend_from_generators,
@@ -43,89 +49,47 @@ from .groups import (
 from .lattices import j_lattice
 
 
-# -- quadratic extension arithmetic ------------------------------------------
+# -- F_{p^2} as F_p[W] ---------------------------------------------------------
 
 
-class QuadraticField:
-    """F_{p^2} as F_p[w] with w^2 = c for the least non-residue c (p odd)
-    or w^2 = w + 1 (p = 2).  Elements are pairs (a, b) = a + b w."""
+def _mat_pow(M, k, p):
+    """M^k mod p by square-and-multiply."""
+    out = np.eye(2, dtype=np.int64)
+    while k:
+        if k & 1:
+            out = out @ M % p
+        M = M @ M % p
+        k >>= 1
+    return out
 
-    def __init__(self, p):
-        p = int(p)
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        self.p = p
-        if p == 2:
-            self.c = None  # w^2 = w + 1
-        else:
-            residues = {(x * x) % p for x in range(1, p)}
-            self.c = next(c for c in range(2, p) if c not in residues)
 
-    def mul(self, x, y):
-        p = self.p
-        a, b = x
-        c2, d = y
-        if p == 2:
-            # w^2 = w + 1
-            hi = b * d
-            return ((a * c2 + hi) % 2, (a * d + b * c2 + hi) % 2)
-        return ((a * c2 + self.c * b * d) % p, (a * d + b * c2) % p)
+def _fp2_root(p, n):
+    """A primitive n-th root of unity of F_{p^2} (requires n | p^2 - 1).
 
-    def pow(self, x, k):
-        out = (1, 0)
-        base = x
-        k = int(k)
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
-
-    def order(self, x):
-        if x == (0, 0):
-            raise ValueError("zero has no multiplicative order")
-        k, acc = 1, x
-        while acc != (1, 0):
-            acc = self.mul(acc, x)
-            k += 1
-        return k
-
-    def generator(self):
-        """Smallest (a, b) in lexicographic order generating the unit group."""
-        full = self.p**2 - 1
-        for a in range(self.p):
-            for b in range(self.p):
-                x = (a, b)
-                if x == (0, 0):
-                    continue
-                if self.order(x) == full:
-                    return x
-        raise ArithmeticError("no generator found")  # unreachable
-
-    def zeta(self, n):
-        """A primitive n-th root of unity (requires n | p^2 - 1)."""
-        full = self.p**2 - 1
-        if full % int(n):
-            raise ValueError(f"no {n}-th roots of unity in F_{self.p}^2")
-        return self.pow(self.generator(), full // int(n))
-
-    def trace(self, x):
-        """x + x^p, an element of the prime field (second coordinate zero)."""
-        a, b = self.frobenius_sum(x)
-        if b:
-            raise ArithmeticError("trace left the prime field")
-        return a
-
-    def frobenius_sum(self, x):
-        y = self.pow(x, self.p)
-        return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
-
-    def norm(self, x):
-        y = self.pow(x, self.p + 1)
-        if y[1]:
-            raise ArithmeticError("norm left the prime field")
-        return y[0]
+    F_{p^2} is F_p[W] for W = [[0, c], [1, 0]], c the least non-residue
+    (p odd), or W = [[0, 1], [1, 1]] (p = 2), and a + bW is the 2x2 matrix
+    a I + b W, with (a, b) as its first column.  The root is g^((p^2-1)/n)
+    for the unit-group generator g with the least (a, b).  It lies in F_p
+    exactly when it is scalar; its trace is z + z^p and its determinant
+    z^(p+1).
+    """
+    full = p * p - 1
+    if full % n:
+        raise ValueError(f"no {n}-th roots of unity in F_{p}^2")
+    if p == 2:
+        W = np.array([[0, 1], [1, 1]], dtype=np.int64)
+    else:
+        c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+        W = np.array([[0, c], [1, 0]], dtype=np.int64)
+    eye = np.eye(2, dtype=np.int64)
+    primes = list(_factorize(full))
+    for a in range(p):
+        for b in range(1 if a == 0 else 0, p):
+            g = (a * eye + b * W) % p
+            # g^(p^2-1) = 1, so g generates unless a maximal proper power is 1
+            if all((_mat_pow(g, full // q, p) != eye).any() for q in primes):
+                return _mat_pow(g, full // n, p)
+    raise ArithmeticError("no generator found")  # unreachable
 
 
 def prime_field_root(p, n):
@@ -216,14 +180,20 @@ def all_lines(p):
     return [(1, b) for b in range(p)] + [(0, 1)]
 
 
-def line_image(M, line, p):
-    v = (np.asarray(M, dtype=np.int64) @ np.array(line, dtype=np.int64)) % p
-    return normalize_line(v, p)
+def _line_action(mats, p):
+    """How each matrix acts on the p+1 lines of F_p^2, in `all_lines` order.
 
-
-def fixes_line_pointwise(M, line, p):
-    v = np.array(line, dtype=np.int64)
-    return ((np.asarray(M, dtype=np.int64) @ v) % p == v % p).all()
+    Returns (image, fixed), both of shape (len(mats), p+1): image[g, L] is
+    the index of the line mats[g] maps line L to, and fixed[g, L] whether
+    mats[g] fixes line L pointwise.  Line L < p is spanned by (1, L), line
+    p by (0, 1).
+    """
+    spans = np.array(all_lines(p), dtype=np.int64).T  # column L spans line L
+    moved = np.asarray(mats, dtype=np.int64) @ spans % p  # (len(mats), 2, p+1)
+    x, y = moved[:, 0], moved[:, 1]
+    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+    image = np.where(x != 0, y * inverse[x] % p, p)
+    return image, (moved == spans).all(axis=1)
 
 
 class RepTwoDim:
@@ -255,9 +225,10 @@ class RepTwoDim:
             if not (prod == self.mats[G.mul[:, s]]).all():
                 raise SpecInvalid("matrices do not define a homomorphism")
         if self.hprime is not None and self.line is not None:
-            for h in self.hprime.elements:
-                if line_image(self.mats[h], self.line, p) != self.line:
-                    raise SpecInvalid("marked subgroup does not stabilize the line")
+            image, _ = _line_action(self.mats[list(self.hprime.elements)], p)
+            L = all_lines(p).index(self.line)
+            if not (image[:, L] == L).all():
+                raise SpecInvalid("marked subgroup does not stabilize the line")
 
     def matrix(self, g):
         return self.mats[int(g)]
@@ -266,29 +237,13 @@ class RepTwoDim:
         return f"RepTwoDim(order {self.group.order} over F_{self.p})"
 
 
-def fixed_space_dim(mats, gens, p):
-    """Dimension over F_p of the common fixed space of the generator matrices."""
-    eye = np.eye(2, dtype=np.int64)
-    return 2 - _rank_mod_p([row for s in gens for row in (mats[s] - eye).tolist()], p)
-
-
-def _stabilizer_fixes_line(mats, elements, line, p):
-    """Whether every element that maps the line to itself fixes it pointwise."""
-    return all(
-        fixes_line_pointwise(mats[g], line, p)
-        for g in elements
-        if line_image(mats[g], line, p) == line
-    )
-
-
 def check_bc(rep):
     """(no nonzero fixed vectors, the marked line's stabilizer fixes it pointwise)."""
-    G, p = rep.group, rep.p
-    gens = list(G.gens) or [G.identity]
-    b = fixed_space_dim(rep.mats, gens, p) == 0
     if rep.line is None:
         raise SpecInvalid("the second condition needs a marked line")
-    return b, _stabilizer_fixes_line(rep.mats, G.elements(), rep.line, p)
+    image, fixed = _line_action(rep.mats, rep.p)
+    L = all_lines(rep.p).index(rep.line)
+    return not fixed.all(0).any(), bool(((image[:, L] != L) | fixed[:, L]).all())
 
 
 def _rep_from_generator_matrix(G, M, p, line=None, hprime=None):
@@ -330,20 +285,17 @@ def reps_of_cyclic(p, n):
             M = np.diag([pow(w, j1, p), pow(w, j2, p)]).astype(np.int64)
             out.append(_rep_from_generator_matrix(G, M, p))
     m2 = math.gcd(n, p * p - 1)
-    fp2 = QuadraticField(p)
-    zeta = fp2.zeta(m2) if m2 > 1 else (1, 0)
+    zeta = _fp2_root(p, m2)
     seen = set()
     for j in range(1, m2):
         jj = min(j, (p * j) % m2)
         if jj in seen:
             continue
         seen.add(jj)
-        zj = fp2.pow(zeta, j)
-        if zj[1] == 0:
-            continue  # eigenvalue in the prime field: split case
-        t = fp2.trace(zj)
-        nrm = fp2.norm(zj)
-        M = np.array([[0, -nrm], [1, t]], dtype=np.int64) % p
+        (a, b), (c, d) = _mat_pow(zeta, j, p).tolist()
+        if c == 0:
+            continue  # scalar: the eigenvalue is in the prime field, split case
+        M = np.array([[0, -(a * d - b * c)], [1, a + d]], dtype=np.int64) % p
         out.append(_rep_from_generator_matrix(G, M, p))
     return out
 
@@ -380,8 +332,7 @@ def witness_rep(p, n):
     else:
         g2 = math.gcd(n, p + 1)
         odd2 = next(q for q in range(3, g2 + 1, 2) if g2 % q == 0 and is_prime(q))
-        fp2 = QuadraticField(p)
-        t = fp2.trace(fp2.zeta(odd2))
+        t = np.trace(_fp2_root(p, odd2))
         M = np.array([[0, -1], [1, t]], dtype=np.int64) % p
         line = (1, 0)
     return _rep_from_generator_matrix(G, M, p, line=line, hprime=trivial_subgroup(G))
@@ -413,13 +364,6 @@ def s3_standard_rep(p):
     return RepTwoDim(s3, p, mats, line=line, hprime=H)
 
 
-def _mat_pow(M, k, p):
-    out = np.eye(2, dtype=np.int64)
-    for _ in range(k):
-        out = out @ M % p
-    return out
-
-
 def sylow2_gl2(p):
     """Generators and order of a 2-Sylow subgroup of GL_2(F_p), p odd.
 
@@ -443,8 +387,7 @@ def sylow2_gl2(p):
         gens = [X, Y, Z]
     else:
         s = _factorize(p + 1)[2]
-        fp2 = QuadraticField(p)
-        t = fp2.trace(fp2.zeta(2 ** (s + 1)))
+        t = np.trace(_fp2_root(p, 2 ** (s + 1)))
         X = np.array([[0, 1], [1, t]], dtype=np.int64) % p
         Y = np.array([[0, 1], [-1, 0]], dtype=np.int64) % p @ X % p
         gens = [X, Y]
@@ -552,35 +495,38 @@ def exhaustive_scan(p, n, max_subgroups=200000):
         _CLASS_CACHE[key] = (G, mats, classes, subgroups_seen, {})
     G, mats, classes, subgroups_seen, subgroups_of = _CLASS_CACHE[key]
     tuples = [tuple(t) for t in mats.tolist()]
-    mats = mats.reshape(-1, 2, 2)
+    image, fixed = _line_action(mats.reshape(-1, 2, 2), p)
+    stays = np.arange(p + 1)
     hits = []
     lines = all_lines(p)
     for ci, S in enumerate(classes):
         if len(S) % n:
             continue
+        S_idx = list(S)
         # zero fixed space for the whole group, once per class
-        if fixed_space_dim(mats, S, p) != 0:
+        if fixed[S_idx].all(0).any():
             continue
         if ci not in subgroups_of:
             sub, elems = SubgroupHandle(G, S).as_group()
             subgroups_of[ci] = [tuple(elems[x] for x in H.elements) for H in all_subgroups(sub)]
-        is_cyc = bool((G.element_orders[list(S)] == len(S)).any())
+        is_cyc = bool((G.element_orders[S_idx] == len(S)).any())
+        # per line: the line's stabilizer in S fixes it pointwise
+        trivial_stabilizer = ((image[S_idx] != stays) | fixed[S_idx]).all(0)
         for H in subgroups_of[ci]:
             if len(H) * n != len(S):
                 continue
-            stable = [L for L in lines if all(line_image(mats[h], L, p) == L for h in H)]
-            for L in stable:
-                if _stabilizer_fixes_line(mats, S, L, p):
-                    hits.append(
-                        ScanHit(
-                            group_class=ci,
-                            group_order=len(S),
-                            group_elements=tuple(tuples[t] for t in S),
-                            subgroup_elements=tuple(tuples[h] for h in H),
-                            line=L,
-                            group_cyclic=is_cyc,
-                        )
+            stable = (image[list(H)] == stays).all(0)
+            for L in np.flatnonzero(stable & trivial_stabilizer).tolist():
+                hits.append(
+                    ScanHit(
+                        group_class=ci,
+                        group_order=len(S),
+                        group_elements=tuple(tuples[t] for t in S),
+                        subgroup_elements=tuple(tuples[h] for h in H),
+                        line=lines[L],
+                        group_cyclic=is_cyc,
                     )
+                )
     hits.sort(key=lambda h: (h.group_order, h.group_class, h.subgroup_elements, h.line))
     return ScanReport(
         p=p,

@@ -125,6 +125,37 @@ def test_budget_exit(capsys, monkeypatch):
     assert report["error"]["type"] == "BudgetExceeded"
 
 
+@pytest.mark.parametrize("verb", [["sha", "--group", A4_JSON, "--p", "2"], ["selftest"]])
+@pytest.mark.parametrize("budget", ["abc", "1e5"])
+def test_malformed_budget_exits_with_schema_error(capsys, monkeypatch, verb, budget):
+    monkeypatch.setenv("SHA_BUDGET", budget)
+    code, report = run_capture(capsys, verb)
+    assert code == EXIT_PARSE
+    assert report["command"] == verb[0]
+    assert report["error"]["type"] == "SchemaError"
+    assert "SHA_BUDGET" in report["error"]["message"]
+
+
+def _nested_products(depth):
+    text = json.dumps(TRIVIAL_TABLE)
+    for _ in range(depth):
+        text = '{"kind": "product", "factors": [' + text + "]}"
+    return text
+
+
+@pytest.mark.parametrize("depth", [494, 495, 600, 1200])
+def test_deeply_nested_spec_exits_with_parse_error(capsys, tmp_path, depth):
+    # too deep for json.loads (from 495) or for the schema check (494)
+    path = tmp_path / "deep.json"
+    path.write_text(_nested_products(depth))
+    for source in (path.read_text(), str(path)):
+        code, report = run_capture(capsys, ["sha", "--group", source, "--p", "2"])
+        assert code == EXIT_PARSE
+        assert report["command"] == "sha"
+        assert report["error"]["type"] == "ParseError"
+        assert "nested too deeply" in report["error"]["message"]
+
+
 def test_dset_verb(capsys):
     code, report = run_capture(capsys, ["dset", "--p", "11", "--max", "100"])
     assert code == EXIT_OK

@@ -24,7 +24,7 @@ from normone.groups import (
     sylow_subgroup,
     trivial_subgroup,
 )
-from normone.lattices import induced_perm_lattice, inflate, j_lattice, restrict, trivial_lattice
+from normone.lattices import GLattice, induced_perm_lattice, j_lattice, restrict, trivial_lattice
 
 
 def a4():
@@ -257,18 +257,20 @@ def test_sha_records_raw_and_closed_dsets():
 
 
 def test_inflation_invariance():
+    # a lattice pulled back along a surjection q: G ->> Q acts by act[q(g)];
+    # GLattice validates the pulled-back action
     # along Z/4 ->> Z/2 with the one-dimensional sign module
     Z4 = build_group(cyclic_spec(4))
     Z2 = build_group(cyclic_spec(2))
     J2, _ = j_lattice(Z2, [(trivial_subgroup(Z2), 1)])
-    lifted = inflate(J2, Z4, [g % 2 for g in range(4)])
+    lifted = GLattice(Z4, J2.act[[g % 2 for g in range(4)]])
     assert sha(Z4, lifted, []).structure == sha(Z2, J2, []).structure
 
     # along the order-12 group ->> Z/3
     G = a4()
     Z3 = build_group(cyclic_spec(3))
     J3, _ = j_lattice(Z3, [(trivial_subgroup(Z3), 1)])
-    lifted = inflate(J3, G, [g // 4 for g in range(12)])
+    lifted = GLattice(G, J3.act[[g // 4 for g in range(12)]])
     assert sha(G, lifted, []).structure == sha(Z3, J3, []).structure
 
     # a nonzero case: Z/2 x Z/4 ->> (Z/2)^2
@@ -276,7 +278,7 @@ def test_inflation_invariance():
     V4 = catalog_group("V4")
     JV, _ = j_lattice(V4, [(trivial_subgroup(V4), 1)])
     qmap = [(g // 4) * 2 + (g % 4) % 2 for g in range(8)]
-    lifted = inflate(JV, B, qmap)
+    lifted = GLattice(B, JV.act[qmap])
     got = sha(B, lifted, []).structure
     assert got == sha(V4, JV, []).structure == FinAb.cyclic(2)
 

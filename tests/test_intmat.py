@@ -98,7 +98,11 @@ def test_finab_parts_and_sum():
     assert g.order == 12 and g.exponent == 6
     assert g.primary_part(2) == FinAb((2, 2))
     assert g.primary_part(3) == FinAb((3,))
-    assert g.prime_to_part(2) == FinAb((3,))
+    # the prime-to-2 part: each factor with its 2-power stripped; with the
+    # 2-primary part it sums back to g
+    odd = FinAb.from_factors([d // (d & -d) for d in g.factors])
+    assert odd == FinAb((3,))
+    assert g.primary_part(2) + odd == g
     assert (FinAb.cyclic(2) + FinAb.cyclic(3)) == FinAb.cyclic(6)
     assert str(FinAb.from_factors([3, 3])) == "[3, 3]"
     assert str(FinAb.trivial()) == "[]"

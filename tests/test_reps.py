@@ -5,21 +5,24 @@ import random
 import numpy as np
 import pytest
 
+import plane_oracle
 from normone.errors import NotCoprime, NotPrime, PreconditionFailed
+from normone.groups import is_prime
 from normone.reps import (
-    QuadraticField,
     all_lines,
     build_semidirect,
     check_bc,
     d_membership,
     exhaustive_scan,
-    fixes_line_pointwise,
     reps_of_cyclic,
     s3_standard_rep,
     s_min,
     sylow2_gl2,
     witness_rep,
+    _fp2_root,
     _gl2_group,
+    _line_action,
+    _mat_pow,
 )
 from normone.structure import p_part_conditions
 
@@ -43,34 +46,44 @@ def _order(M, p):
     while _key(acc) != (1, 0, 0, 1):
         acc = acc @ M % p
         k += 1
+        assert k < p * p, "no element of GL_2(F_p) has order p^2 or more"
     return k
 
 
 # -- quadratic extension ---------------------------------------------------------
 
 
+def _scalar(M, p):
+    """The prime-field element a when M = a I mod p, else None."""
+    M = M % p
+    return int(M[0, 0]) if M[0, 1] == M[1, 0] == 0 and M[0, 0] == M[1, 1] else None
+
+
+def _trace_det(z, p):
+    return int(z[0, 0] + z[1, 1]) % p, int(z[0, 0] * z[1, 1] - z[0, 1] * z[1, 0]) % p
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_quadratic_field_basics(p):
-    F = QuadraticField(p)
-    g = F.generator()
-    assert F.order(g) == p * p - 1
+    g = _fp2_root(p, p * p - 1)  # the generator itself
+    assert _order(g, p) == p * p - 1
     for n in (2, 3, 4):
         if (p * p - 1) % n == 0:
-            z = F.zeta(n)
-            assert F.order(z) == n
-            # trace and norm land in the prime field
-            F.trace(z)
-            F.norm(z)
+            z = _fp2_root(p, n)
+            assert _order(z, p) == n
+            # trace z + z^p and norm z^(p+1) land in the prime field, and
+            # they are the matrix trace and determinant
+            t, d = _trace_det(z, p)
+            assert _scalar(z + _mat_pow(z, p, p), p) == t
+            assert _scalar(_mat_pow(z, p + 1, p), p) == d
 
 
 def test_trace_companion_satisfies_quadratic_relation():
     # for every nonzero v: {v, Mv} is a basis and M^2 v = t (M v) - (norm) v,
     # with norm 1 for eigenvalue orders dividing p + 1
     for p, ell in ((5, 3), (2, 3), (11, 3), (13, 7)):
-        F = QuadraticField(p)
-        z = F.zeta(ell)
-        t = F.trace(z)
-        assert F.norm(z) == 1  # ell divides p + 1
+        t, norm = _trace_det(_fp2_root(p, ell), p)
+        assert norm == 1  # ell divides p + 1
         M = np.array([[0, -1], [1, t]], dtype=np.int64) % p
         M2 = (M @ M) % p
         for a in range(p):
@@ -83,6 +96,34 @@ def test_trace_companion_satisfies_quadratic_relation():
                 lhs = (M2 @ v) % p
                 rhs = (t * w - v) % p
                 assert (lhs == rhs).all()
+
+
+def test_fp2_root_matches_pair_arithmetic():
+    # the same root as the pair field's zeta(n): same element (a, b) in the
+    # first column, same trace and norm, for every n | p^2 - 1
+    cases = 0
+    for p in (q for q in range(2, 32) if is_prime(q)):
+        F = plane_oracle.QuadraticField(p)
+        for n in range(1, p * p):
+            if (p * p - 1) % n:
+                continue
+            z, ref = _fp2_root(p, n), F.zeta(n)
+            assert tuple(z[:, 0].tolist()) == ref, (p, n)
+            assert _trace_det(z, p) == (F.trace(ref), F.norm(ref)), (p, n)
+            cases += 1
+    assert cases == 178
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_line_action_matches_per_element_loop(p):
+    _, rows = _gl2_group(p)
+    mats = rows.reshape(-1, 2, 2)
+    image, fixed = _line_action(mats, p)
+    lines = all_lines(p)
+    assert image.shape == fixed.shape == (len(mats), p + 1)
+    for g, M in enumerate(mats):
+        assert [lines[L] for L in image[g]] == [plane_oracle.line_image(M, L, p) for L in lines]
+        assert fixed[g].tolist() == [plane_oracle.fixes_line_pointwise(M, L, p) for L in lines]
 
 
 # -- degree sets -----------------------------------------------------------------
@@ -190,12 +231,8 @@ def test_s3_standard_rep():
     for p in (5, 7):
         rep = s3_standard_rep(p)
         assert check_bc(rep) == (True, True)
-        fixed = [
-            L
-            for L in all_lines(p)
-            if all(fixes_line_pointwise(rep.mats[h], L, p) for h in rep.hprime.elements)
-        ]
-        assert fixed == [rep.line]
+        _, fixed = _line_action(rep.mats[list(rep.hprime.elements)], p)
+        assert [L for L, f in zip(all_lines(p), fixed.all(0)) if f] == [rep.line]
     with pytest.raises(PreconditionFailed):
         s3_standard_rep(3)
 
@@ -273,6 +310,21 @@ def test_scan_counts_pinned():
     assert hits == {2: 0, 3: 9, 4: 4, 6: 3, 8: 0, 12: 0}
     hits = {n: len(exhaustive_scan(7, n).hits) for n in (2, 3, 4, 6, 9, 12)}
     assert hits == {2: 0, 3: 9, 4: 0, 6: 15, 9: 0, 12: 0}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_scan_matches_per_element_loop(p):
+    found = 0
+    for n in range(1, 25):
+        if math.gcd(n, p) != 1:
+            continue
+        got = [
+            (h.group_order, h.group_class, h.subgroup_elements, h.line)
+            for h in exhaustive_scan(p, n).hits
+        ]
+        assert got == plane_oracle.scan_hits(p, n), n
+        found += len(got)
+    assert found > 0 or p == 3  # GL_2(F_3) has no hits at all
 
 
 def test_scan_refuses_primes_beyond_the_table():
