@@ -11,10 +11,11 @@ subgroups of each class from `groups.all_subgroups`.
 
 All plane arithmetic is on 2x2 integer matrices mod p.  F_{p^2} is
 F_p[W], its element a + bW the matrix a I + b W (`_fp2_root`), so a trace
-or a norm is a matrix trace or determinant.  `_line_action` tabulates how
-each matrix moves the p+1 lines and which lines it fixes pointwise, and
-every fixed-vector or line-stabilizer question is a reduction over that
-table.
+or a norm is a matrix trace or determinant.  The scan's questions about
+all lines at once are reductions over `_line_action`, a table of how each
+matrix moves the p+1 lines and which lines it fixes pointwise.  A single
+marked line is tested directly (`_on_line`) and a common fixed vector by a
+rank over F_p, so validating a representation costs O(|G|) for any p.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .finab import _factorize
 from .groups import (
     FiniteGroup,
     SubgroupHandle,
+    _rank_mod_p,
     all_subgroups,
     build_group,
     extend_from_generators,
@@ -196,6 +198,15 @@ def _line_action(mats, p):
     return image, (moved == spans).all(axis=1)
 
 
+def _on_line(mats, line, p):
+    """Per matrix: whether it maps the line spanned by `line` to itself, and
+    whether it fixes that vector.  Mv lies on the line spanned by v exactly
+    when (Mv)_0 v_1 - (Mv)_1 v_0 = 0 mod p."""
+    v = np.array(line, dtype=np.int64)
+    w = np.asarray(mats, dtype=np.int64) @ v % p
+    return (w[:, 0] * v[1] - w[:, 1] * v[0]) % p == 0, (w == v).all(axis=1)
+
+
 class RepTwoDim:
     """A 2-dimensional representation over F_p of a group of coprime order,
     with an optional marked line and line-stabilizing subgroup."""
@@ -225,9 +236,8 @@ class RepTwoDim:
             if not (prod == self.mats[G.mul[:, s]]).all():
                 raise SpecInvalid("matrices do not define a homomorphism")
         if self.hprime is not None and self.line is not None:
-            image, _ = _line_action(self.mats[list(self.hprime.elements)], p)
-            L = all_lines(p).index(self.line)
-            if not (image[:, L] == L).all():
+            stays, _ = _on_line(self.mats[list(self.hprime.elements)], self.line, p)
+            if not stays.all():
                 raise SpecInvalid("marked subgroup does not stabilize the line")
 
     def matrix(self, g):
@@ -241,9 +251,12 @@ def check_bc(rep):
     """(no nonzero fixed vectors, the marked line's stabilizer fixes it pointwise)."""
     if rep.line is None:
         raise SpecInvalid("the second condition needs a marked line")
-    image, fixed = _line_action(rep.mats, rep.p)
-    L = all_lines(rep.p).index(rep.line)
-    return not fixed.all(0).any(), bool(((image[:, L] != L) | fixed[:, L]).all())
+    G, p = rep.group, rep.p
+    # a nonzero common fixed vector is a kernel of the stacked M_s - I
+    eye = np.eye(2, dtype=np.int64)
+    rows = [row for s in list(G.gens) or [G.identity] for row in (rep.mats[s] - eye).tolist()]
+    stays, fixes = _on_line(rep.mats, rep.line, p)
+    return _rank_mod_p(rows, p) == 2, bool((~stays | fixes).all())
 
 
 def _rep_from_generator_matrix(G, M, p, line=None, hprime=None):

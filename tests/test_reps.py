@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import plane_oracle
-from normone.errors import NotCoprime, NotPrime, PreconditionFailed
-from normone.groups import is_prime
+from normone.errors import NotCoprime, NotPrime, PreconditionFailed, SpecInvalid
+from normone.groups import all_subgroups, is_prime
 from normone.reps import (
+    RepTwoDim,
     all_lines,
     build_semidirect,
     check_bc,
@@ -235,6 +236,46 @@ def test_s3_standard_rep():
         assert [L for L, f in zip(all_lines(p), fixed.all(0)) if f] == [rep.line]
     with pytest.raises(PreconditionFailed):
         s3_standard_rep(3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_marked_line_checks_match_per_element_loop(p):
+    # check_bc and the line-stabilizer validation, against the parent's loops,
+    # for every representation of Z/n, marked line and marked subgroup
+    for n in (3, 4, 6):
+        if n % p == 0:
+            continue
+        for rep in reps_of_cyclic(p, n):
+            G, elements = rep.group, list(rep.group.elements())
+            no_fixed = plane_oracle.fixed_space_dim(rep.mats, elements, p) == 0
+            for L in all_lines(p):
+                rep.line = L
+                assert check_bc(rep) == (
+                    no_fixed,
+                    plane_oracle.stabilizer_fixes_line(rep.mats, elements, L, p),
+                ), (p, n, L)
+                for H in all_subgroups(G):
+                    stays = all(plane_oracle.line_image(rep.mats[h], L, p) == L for h in H.elements)
+                    if stays:
+                        RepTwoDim(G, p, rep.mats, line=L, hprime=H)
+                    else:
+                        with pytest.raises(SpecInvalid):
+                            RepTwoDim(G, p, rep.mats, line=L, hprime=H)
+
+
+@pytest.mark.parametrize("p", [1000003, 999999937])
+def test_s3_standard_rep_at_large_primes(p):
+    # validation and check_bc touch the marked line only, so a large p costs
+    # no more than a small one
+    rep = s3_standard_rep(p)
+    assert check_bc(rep) == (True, True)
+    # the marked line is the +1 eigenline of the transposition; adding a -1
+    # eigenvector gives a line the transposition moves
+    M = rep.mats[rep.group.gens[1]]
+    u = next(c for c in ((M - np.eye(2, dtype=np.int64)) % p).T.tolist() if any(c))
+    moved = [(a + b) % p for a, b in zip(rep.line, u)]
+    with pytest.raises(SpecInvalid):
+        RepTwoDim(rep.group, p, rep.mats, line=moved, hprime=rep.hprime)
 
 
 # -- Sylow generators of the matrix group --------------------------------------------
