@@ -8,14 +8,15 @@ subgroups) are whole-table numpy gathers over `mul` and `inv`, such as
 `mul[mul[:, H], inv[:, None]]` for all conjugates of H at once.  One
 saturation search, `subgroup_classes`, enumerates subgroups up to
 conjugacy with one closure per double coset R y R of each representative R
-(<R, s y^k s'> = <R, y> for s, s' in R and k prime to the order of y);
-`all_subgroups` and the GL_2 scan of `reps` both read it.  One
-greedy growth, `_grow_subgroup`, finds a subgroup maximal among those of
-order dividing a given number: a Sylow subgroup, or a complement of a
-normal Sylow subgroup.  All
-values are immutable after construction and the operations are pure
-functions; deterministic tie-breaking (least element index, lexicographic
-element lists) is used throughout.
+(<R, s y^k s'> = <R, y> for s, s' in R and k prime to the order of y) and
+one conjugation pass per class: the set of the conjugates of the classes
+found so far tells whether a subgroup starts a new class, and at the end
+it holds every subgroup, which `all_subgroups` and the GL_2 scan of `reps`
+read.  One greedy growth, `_grow_subgroup`, finds a subgroup maximal among
+those of order dividing a given number: a Sylow subgroup, or a complement
+of a normal Sylow subgroup.  All values are immutable after construction
+and the operations are pure functions; deterministic tie-breaking (least
+element index, lexicographic element lists) is used throughout.
 """
 
 from __future__ import annotations
@@ -336,6 +337,13 @@ def full_subgroup(G):
     return SubgroupHandle(G, tuple(range(G.order)))
 
 
+def _distinct(a):
+    """The sorted distinct entries of an array of element indices: np.unique
+    without the import of numpy.ma it makes on its first call."""
+    a = np.sort(a, axis=None)
+    return a[np.diff(a, prepend=-1) != 0]
+
+
 def _power_table(G):
     """Row g lists g^0, g^1, ..., one column per exponent below the largest
     element order, so row g runs through <g>."""
@@ -353,7 +361,7 @@ def cyclic_subgroups(G):
         powers = _power_table(G)
         # <g> is named by its least element of the same order as g
         gens = np.where(orders[powers] == orders[:, None], powers, G.order).min(axis=1)
-        out = [SubgroupHandle(G, np.unique(powers[g]).tolist()) for g in np.unique(gens)]
+        out = [SubgroupHandle(G, _distinct(powers[g]).tolist()) for g in _distinct(gens)]
         G._cyclic = tuple(sorted(out, key=lambda h: (h.order, h.elements)))
     return G._cyclic
 
@@ -437,7 +445,7 @@ def commutator_subgroup(G, A, B=None):
     comms = G.mul[G.mul[np.ix_(a, b)], G.mul[np.ix_(G.inv[a], G.inv[b])]]
     gens, members = [], np.zeros(G.order, dtype=bool)
     members[G.identity] = True
-    for c in np.unique(comms).tolist():
+    for c in _distinct(comms).tolist():
         if not members[c]:
             gens.append(c)
             members[list(closure_elements(G.mul, G.identity, gens))] = True
@@ -458,7 +466,7 @@ def double_cosets(G, D, H):
         if assigned[g]:
             continue
         dg = G.mul[d_elems, g]
-        cls = np.unique(G.mul[np.ix_(dg, h_elems)])
+        cls = _distinct(G.mul[np.ix_(dg, h_elems)])
         assigned[cls] = True
         out.append((int(g), tuple(int(x) for x in cls)))
     return out
@@ -524,13 +532,14 @@ def subgroup_classes(G, divisor=None, max_count=200000):
     Saturation search over the pool of elements whose order divides
     `divisor`: start from the cyclic subgroups they generate, then join
     each class representative's generators with one pool element at a
-    time.  Each class is represented by the first subgroup found, and the
-    least conjugate is the deduplication key.  Complete: a subgroup K of
-    order dividing `divisor` is generated by pool elements x_1..x_k.  If
-    g K_j g^-1 is a representative R, for K_j = <x_1..x_j>, then
-    g K_{j+1} g^-1 is R joined with g x_{j+1} g^-1, a join the search
-    makes: the pool is closed under conjugation, and every K_j has order
-    dividing `divisor`.
+    time.  Each class is represented by the first subgroup found, and a
+    subgroup met later starts a new class exactly when it is not among the
+    conjugates of the classes found so far, which are computed once per
+    class.  Complete: a subgroup K of order dividing `divisor` is generated
+    by pool elements x_1..x_k.  If g K_j g^-1 is a representative R, for
+    K_j = <x_1..x_j>, then g K_{j+1} g^-1 is R joined with g x_{j+1} g^-1, a
+    join the search makes: the pool is closed under conjugation, and every
+    K_j has order dividing `divisor`.
 
     One closure per double coset: once R has been joined with y, every
     s y^k s' (s, s' in R, k prime to the order of y) is skipped, since
@@ -538,15 +547,17 @@ def subgroup_classes(G, divisor=None, max_count=200000):
     registered, or one already refused for its size, so the classes, their
     order and generators, the count and the point where the budget runs
     out are those of joining every pool element.  Returns the
-    representatives as sorted element tuples and the number of distinct
-    subgroups met; raises BudgetExceeded past `max_count` of them.
+    representatives as sorted element tuples, the number of distinct
+    subgroups met, and the set of the conjugates of the representatives:
+    every subgroup of order dividing `divisor`, as sorted element tuples.
+    Raises BudgetExceeded past `max_count` subgroups met.
     """
     divisor = G.order if divisor is None else int(divisor)
     pool = np.flatnonzero(divisor % G.element_orders == 0).tolist()
     powers = _power_table(G)
     orders = G.element_orders
     seen = set()
-    keys = set()
+    known = set()  # every conjugate of every class found so far
     classes = []  # (elements, generators)
 
     def register(elems, gens):
@@ -558,13 +569,13 @@ def subgroup_classes(G, divisor=None, max_count=200000):
                 sizes={"subgroups": len(seen), "budget": max_count},
             )
         seen.add(elems)
-        key = SubgroupHandle(G, elems).canonical_conjugate().elements
-        if key not in keys:
-            keys.add(key)
+        if elems not in known:
+            conjugates = np.sort(SubgroupHandle(G, elems).conjugates(), axis=1)
+            known.update(map(tuple, conjugates.tolist()))
             classes.append((elems, gens))
 
     for t in pool:
-        register(tuple(np.unique(powers[t]).tolist()), [t])
+        register(tuple(_distinct(powers[t]).tolist()), [t])
     qi = 0
     while qi < len(classes):
         S, gens = classes[qi]
@@ -585,16 +596,12 @@ def subgroup_classes(G, divisor=None, max_count=200000):
             cyc = powers[y, : orders[y]]
             y_gens = cyc[orders[cyc] == orders[y]]  # y^k, k prime to the order of y
             done[G.mul[np.ix_(G.mul[np.ix_(s, y_gens)].ravel(), s)]] = True
-    return [S for S, _ in classes], len(seen)
+    return [S for S, _ in classes], len(seen), known
 
 
 def all_subgroups(G):
-    """Every subgroup of G: the conjugates of the `subgroup_classes`
-    representatives, sorted by (order, elements)."""
-    # a set of rows, not np.unique(axis=0), which imports numpy.ma on first use
-    found = set()
-    for S in subgroup_classes(G)[0]:
-        found.update(map(tuple, np.sort(SubgroupHandle(G, S).conjugates(), axis=1).tolist()))
+    """Every subgroup of G, sorted by (order, elements)."""
+    found = subgroup_classes(G)[2]
     return [SubgroupHandle(G, elems) for elems in sorted(found, key=lambda e: (len(e), e))]
 
 

@@ -5,9 +5,10 @@ of order coprime to p can have zero fixed space while some line's
 stabilizer acts trivially on the line, witness constructions for the
 degrees where one exists, the explicit 2-Sylow generators of GL_2(F_p),
 and an exhaustive subgroup scan certifying the non-existence half.  The
-scan realizes GL_2(F_p), p <= 7, as a multiplication-table group; its
-coprime-order subgroup classes come from `groups.subgroup_classes` and the
-subgroups of each class from `groups.all_subgroups`.
+scan realizes GL_2(F_p), p <= 7, as a multiplication-table group; one
+`groups.subgroup_classes` search gives its coprime-order subgroup classes
+and the set of all its coprime-order subgroups, and the subgroups of each
+class are the members of that set inside it.
 
 All plane arithmetic is on 2x2 integer matrices mod p.  F_{p^2} is
 F_p[W], its element a + bW the matrix a I + b W (`_fp2_root`), so a trace
@@ -38,7 +39,6 @@ from .groups import (
     FiniteGroup,
     SubgroupHandle,
     _rank_mod_p,
-    all_subgroups,
     build_group,
     extend_from_generators,
     is_prime,
@@ -504,11 +504,14 @@ def exhaustive_scan(p, n, max_subgroups=200000):
     key = (p, max_subgroups)
     if key not in _CLASS_CACHE:
         G, mats = _gl2_group(p)
-        classes, subgroups_seen = subgroup_classes(G, cap, max_subgroups)
-        _CLASS_CACHE[key] = (G, mats, classes, subgroups_seen, {})
-    G, mats, classes, subgroups_seen, subgroups_of = _CLASS_CACHE[key]
-    tuples = [tuple(t) for t in mats.tolist()]
-    image, fixed = _line_action(mats.reshape(-1, 2, 2), p)
+        classes, subgroups_seen, subgroups = subgroup_classes(G, cap, max_subgroups)
+        subgroups = sorted(subgroups, key=lambda e: (len(e), e))
+        # per class, the subgroups of GL_2(F_p) inside it
+        subgroups_of = [[H for H in subgroups if S.issuperset(H)] for S in map(set, classes)]
+        tuples = [tuple(t) for t in mats.tolist()]
+        image, fixed = _line_action(mats.reshape(-1, 2, 2), p)
+        _CLASS_CACHE[key] = (G, tuples, image, fixed, classes, subgroups_seen, subgroups_of)
+    G, tuples, image, fixed, classes, subgroups_seen, subgroups_of = _CLASS_CACHE[key]
     stays = np.arange(p + 1)
     hits = []
     lines = all_lines(p)
@@ -519,9 +522,6 @@ def exhaustive_scan(p, n, max_subgroups=200000):
         # zero fixed space for the whole group, once per class
         if fixed[S_idx].all(0).any():
             continue
-        if ci not in subgroups_of:
-            sub, elems = SubgroupHandle(G, S).as_group()
-            subgroups_of[ci] = [tuple(elems[x] for x in H.elements) for H in all_subgroups(sub)]
         is_cyc = bool((G.element_orders[S_idx] == len(S)).any())
         # per line: the line's stabilizer in S fixes it pointwise
         trivial_stabilizer = ((image[S_idx] != stays) | fixed[S_idx]).all(0)

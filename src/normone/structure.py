@@ -31,6 +31,7 @@ from .catalog import a4_shape_spec, beta_shape_spec, cyclic_spec
 from .finab import FinAb, _factorize
 from .groups import (
     SubgroupHandle,
+    _distinct,
     build_group,
     commutator_subgroup,
     complement,
@@ -197,7 +198,7 @@ def _prime_to_p(G, H, S, closed, budget):
     """Sha of the complement pair (G', H') by brute force: G' is a complement
     of S, and H' = G' ∩ SH, so that SH = S ⋊ H' and |H'| = |H|/|S∩H|.
     S is normal, so SH is the set of products s h."""
-    SH = SubgroupHandle(G, np.unique(G.mul[np.ix_(S.elements, H.elements)]).tolist())
+    SH = SubgroupHandle(G, _distinct(G.mul[np.ix_(S.elements, H.elements)]).tolist())
     cert_prime = is_prime(SH.index)
     cert_cyclic = all(D.is_cyclic for D in closed)
     if not (cert_prime or cert_cyclic):

@@ -120,9 +120,11 @@ def stabilizer_fixes_line(mats, elements, line, p):
 
 @functools.cache
 def _gl2_classes(p):
-    """GL_2(F_p)'s matrices and its p'-subgroup classes, each with its subgroups."""
+    """GL_2(F_p)'s matrices and its p'-subgroup classes, each with its subgroups
+    from a search inside the class: `all_subgroups` of the class as a group,
+    mapped back to GL_2 indices."""
     G, rows = _gl2_group(p)
-    classes, _ = subgroup_classes(G, (p * p - 1) * (p - 1), 200000)
+    classes, _, _ = subgroup_classes(G, (p * p - 1) * (p - 1), 200000)
     out = []
     for S in classes:
         sub, elems = SubgroupHandle(G, S).as_group()

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 from unittest import mock
 
@@ -389,3 +391,30 @@ def test_help_exits_zero(capsys):
     assert run(["--help"]) == EXIT_OK
     assert run(["sha", "--help"]) == EXIT_OK
     assert "--group" in capsys.readouterr().out
+
+
+_QUERIES_IN_FRESH_PROCESS = """
+import contextlib, io, json, sys
+from normone.cli import run
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv)
+    print(argv[0], code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_queries_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call under numpy 2.x, which
+    # costs a fresh process 12-17 ms in the middle of its first query
+    d6 = json.dumps({"kind": "permutations", "degree": 6, "label": "D6",
+                     "generators": ["(1 2 3 4 5 6)", "(1 6)(2 5)(3 4)"]})
+    queries = [
+        ["sha", "--group", d6, "--subgroup", "trivial", "--p", "2", "--method", "both"],
+        ["sha", "--group", json.dumps(a4_shape_spec(5)), "--subgroup", "1", "--p", "5",
+         "--method", "theorem"],
+        ["witness", "--p", "7", "--variant", "i"],
+        ["scan-reps", "--p", "3", "--n", "2"],
+    ]
+    out = subprocess.run([sys.executable, "-c", _QUERIES_IN_FRESH_PROCESS, json.dumps(queries)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split("\n")[:-1] == [f"{argv[0]} 0 False" for argv in queries]

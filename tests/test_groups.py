@@ -312,11 +312,28 @@ def test_subgroup_search_matches_queue_over_all_subgroups(name):
     reference = _queue_all_subgroups(G)
     assert [h.elements for h in all_subgroups(G)] == [h.elements for h in reference]
     for d in (d for d in range(1, G.order + 1) if G.order % d == 0):
-        classes, seen = subgroup_classes(G, d)
+        classes, seen, subgroups = subgroup_classes(G, d)
         expected = {h.canonical_conjugate().elements for h in reference if d % h.order == 0}
         got = [SubgroupHandle(G, S).canonical_conjugate().elements for S in classes]
         assert sorted(got) == sorted(expected), (name, d)
         assert len(classes) <= seen <= sum(d % h.order == 0 for h in reference)
+        # the third value is every subgroup of order dividing d
+        assert subgroups == {h.elements for h in reference if d % h.order == 0}, (name, d)
+
+
+def test_subgroup_classes_conjugates_each_class_once(monkeypatch):
+    calls = []
+    conjugates = SubgroupHandle.conjugates
+
+    def counted(self):
+        calls.append(self.elements)
+        return conjugates(self)
+
+    monkeypatch.setattr(SubgroupHandle, "conjugates", counted)
+    G, cap = _gl2_pprime(5)
+    classes = subgroup_classes(G, cap)[0]
+    assert len(classes) == 30
+    assert calls == classes
 
 
 def _closure_per_pool_element(G, divisor=None, max_count=200000):
@@ -372,7 +389,7 @@ def test_subgroup_classes_match_one_closure_per_pool_element(name):
         G = catalog_group(name)
         divisors = [d for d in range(1, G.order + 1) if G.order % d == 0]
     for d in divisors:
-        assert subgroup_classes(G, d) == _closure_per_pool_element(G, d), (name, d)
+        assert subgroup_classes(G, d)[:2] == _closure_per_pool_element(G, d), (name, d)
 
 
 @pytest.mark.parametrize("max_count", [1, 2, 9, 30, 150, 290])

@@ -20,6 +20,7 @@ from normone.reps import (
     s_min,
     sylow2_gl2,
     witness_rep,
+    _CLASS_CACHE,
     _fp2_root,
     _gl2_group,
     _line_action,
@@ -366,6 +367,17 @@ def test_scan_matches_per_element_loop(p):
         assert got == plane_oracle.scan_hits(p, n), n
         found += len(got)
     assert found > 0 or p == 3  # GL_2(F_3) has no hits at all
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_class_subgroups_match_nested_search(p):
+    exhaustive_scan(p, 1)
+    classes, _, subgroups_of = _CLASS_CACHE[(p, 200000)][4:]
+    _, nested = plane_oracle._gl2_classes(p)
+    assert len(nested) == len(classes) == len(subgroups_of)
+    for (S, subgroups), T, got in zip(nested, classes, subgroups_of):
+        assert S == T
+        assert [tuple(H) for H in subgroups] == got, S
 
 
 def test_scan_refuses_primes_beyond_the_table():
