@@ -104,13 +104,11 @@ class FiniteGroup:
         self._orders = None
         self._tree = None
         self._cyclic = None
-        inv = np.full(self.order, -1, dtype=np.int64)
-        for g in range(self.order):
-            hits = np.flatnonzero(mul[g] == self.identity)
-            if hits.size != 1:
-                raise SpecInvalid(f"element {g} has no unique right inverse")
-            inv[g] = hits[0]
-        self.inv = inv
+        hits = mul == self.identity
+        bad = np.flatnonzero(hits.sum(axis=1) != 1)
+        if bad.size:
+            raise SpecInvalid(f"element {bad[0]} has no unique right inverse")
+        self.inv = hits.argmax(axis=1)
         if validate:
             self._validate_identity()
         if gens is None:

@@ -36,7 +36,6 @@ from .groups import (
     commutator_subgroup,
     complement,
     core,
-    extend_from_generators,
     is_prime,
     normalizer_centralizer,
     subgroup_closure,
@@ -365,48 +364,97 @@ class Classification:
         return self.kind if self.p is None else f"{self.kind}({self.p})"
 
 
+def _prefix_checks(ref, gens, known):
+    """How the search extends a map from K' = `known` to K = <gens>, where
+    K' is generated by all but the last of `gens`.
+
+    Returns (steps, members).  `steps` follows the breadth-first layers of
+    the Cayley graph of K on `gens` outward from K': step L holds the edges
+    (parent, generator index, child) that first reach layer L, then the
+    other edges of K whose two ends lie in layers <= L, except the edges of
+    K' itself.  `members` lists K.  A map built along the first arrays is a
+    homomorphism on K exactly when it respects the second arrays and was
+    one on K' (as in `extend_from_generators`).
+    """
+    last = len(gens) - 1
+    layer_of = np.full(ref.order, -1, dtype=np.int64)
+    layer_of[known] = 0
+    on_tree = np.zeros((ref.order, len(gens)), dtype=bool)
+    tree, frontier = [[]], list(known)
+    while frontier:
+        layer = []
+        for g in frontier:
+            for j, s in enumerate(gens):
+                h = int(ref.mul[g, s])
+                if layer_of[h] < 0:
+                    layer_of[h] = len(tree)
+                    on_tree[g, j] = True
+                    layer.append((g, j, h))
+        tree.append(layer)
+        frontier = [h for _, _, h in layer]
+    members = np.flatnonzero(layer_of >= 0)
+    src, gen = np.nonzero(~on_tree[members])
+    src = members[src]
+    new = (layer_of[src] > 0) | (gen == last)
+    src, gen = src[new], gen[new]
+    dst = ref.mul[src, np.array(gens)[gen]]
+    stage = np.maximum(layer_of[src], layer_of[dst])
+    steps = []
+    for L, layer in enumerate(tree):
+        at = stage == L
+        if layer or at.any():
+            parent, j, child = np.array(layer, dtype=np.int64).reshape(-1, 3).T
+            steps.append((parent, j, child, src[at], gen[at], dst[at]))
+    return steps, members
+
+
 def _find_isomorphism(ref, G):
     """A group isomorphism ref -> G by generator-image backtracking, or None.
 
-    Candidate images are filtered by element order and by the orders of all
-    pairwise products with earlier choices before the full Cayley-graph
-    extension check runs.
+    Generator i takes its image from the elements of G of its order, in
+    index order.  A node at depth i fixes the images of gens[:i]; the map
+    they define along the breadth-first layers of K_i = <gens[:i]> must
+    respect the other edges of K_i (so it is a homomorphism on K_i) and be
+    injective there, else the node is pruned.  Any isomorphism restricts to
+    such a map on every K_i, so a pruned node has none below it, and the
+    depth-first search returns the same first isomorphism as a search that
+    checks only complete generator tuples.  At depth len(gens), K is ref
+    and the map is a bijective homomorphism.  A node tests all candidate
+    images of its next generator at once, one row per candidate.
     """
     if ref.order != G.order:
         return None
     gens = list(ref.gens)
     orders = [ref.element_order(s) for s in gens]
-    pools = [[x for x in G.elements() if G.element_order(x) == o] for o in orders]
+    pools = [np.flatnonzero(G.element_orders == o) for o in orders]
+    checks, known = [], [ref.identity]
+    for i in range(len(gens)):
+        checks.append(_prefix_checks(ref, gens[: i + 1], known))
+        known = checks[-1][1]
 
-    def compatible(chosen, x):
-        i = len(chosen)
-        for j, y in enumerate(chosen):
-            if ref.element_order(int(ref.mul[gens[j], gens[i]])) != G.element_order(
-                int(G.mul[y, x])
-            ):
-                return False
-            if ref.element_order(int(ref.mul[gens[i], gens[j]])) != G.element_order(
-                int(G.mul[x, y])
-            ):
-                return False
-        return True
+    def extensions(f, images, i):
+        steps, members = checks[i]
+        F = np.repeat(f[None], len(pools[i]), axis=0)
+        imgs = np.repeat(images[None], len(pools[i]), axis=0)
+        imgs[:, i] = pools[i]
+        for parent, j, child, src, gen, dst in steps:
+            F[:, child] = G.mul[F[:, parent], imgs[:, j]]
+            ok = (F[:, dst] == G.mul[F[:, src], imgs[:, gen]]).all(axis=1)
+            F, imgs = F[ok], imgs[ok]
+        injective = (np.diff(np.sort(F[:, members], axis=1), axis=1) != 0).all(axis=1)
+        return F[injective], imgs[injective]
 
-    def backtrack(chosen):
-        if len(chosen) == len(gens):
-            f = extend_from_generators(
-                ref, list(chosen), lambda a, b: int(G.mul[a, b]), G.identity
-            )
-            if f is not None and len(set(f)) == ref.order:
-                return f
-            return None
-        for x in pools[len(chosen)]:
-            if compatible(chosen, x):
-                result = backtrack(chosen + [x])
-                if result is not None:
-                    return result
+    def backtrack(f, images, i):
+        if i == len(gens):
+            return f.tolist()
+        for g, imgs in zip(*extensions(f, images, i)):
+            result = backtrack(g, imgs, i + 1)
+            if result is not None:
+                return result
         return None
 
-    return backtrack([])
+    f = np.full(ref.order, G.identity, dtype=np.int64)
+    return backtrack(f, np.zeros(len(gens), dtype=np.int64), 0)
 
 
 def _matches_pattern(G, H, spec, ref_subgroup_fn):

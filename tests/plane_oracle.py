@@ -3,8 +3,9 @@
 `QuadraticField` does F_{p^2} arithmetic on pairs (a, b) = a + b w, with
 w^2 = c for the least non-residue c (p odd) or w^2 = w + 1 (p = 2).
 `line_image` and `fixes_line_pointwise` act with one matrix on one
-normalized line, and `scan_hits` is the GL_2 scan written as a loop over
-those calls.  Tests only; nothing in normone imports it.
+normalized line, `scan_hits` is the GL_2 scan written as a loop over
+those calls, and `gl2_table` fills the GL_2 multiplication table one row
+per matrix.  Tests only; nothing in normone imports it.
 """
 
 from __future__ import annotations
@@ -116,6 +117,24 @@ def stabilizer_fixes_line(mats, elements, line, p):
         for g in elements
         if line_image(mats[g], line, p) == line
     )
+
+
+def gl2_table(p):
+    """The multiplication table of `reps._gl2_group(p)`, one row at a time:
+    the matrices in lexicographic (a, b, c, d) order, row i holding the
+    indices of matrix i times each matrix."""
+    grid = np.indices((p,) * 4).reshape(4, -1).T
+    a, b, c, d = grid.T
+    mats = grid[(a * d - b * c) % p != 0]
+    radix = p ** np.arange(3, -1, -1)
+    index = np.full(p**4, -1, dtype=np.int64)
+    index[mats @ radix] = np.arange(len(mats))
+    a, b, c, d = mats.T
+    mul = np.empty((len(mats), len(mats)), dtype=np.int64)
+    for i, (x0, x1, x2, x3) in enumerate(mats.tolist()):
+        prod = np.stack([x0 * a + x1 * c, x0 * b + x1 * d, x2 * a + x3 * c, x2 * b + x3 * d])
+        mul[i] = index[radix @ (prod % p)]
+    return mul
 
 
 @functools.cache

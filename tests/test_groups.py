@@ -128,6 +128,20 @@ def test_bad_table_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "mul, bad",
+    [
+        # row 2 holds the identity twice, row 1 once
+        ([[0, 1, 2], [1, 0, 2], [2, 0, 0]], 2),
+        # row 1 lacks the identity, row 2 holds it twice
+        ([[0, 1, 2], [1, 1, 2], [2, 0, 0]], 1),
+    ],
+)
+def test_inverse_mask_names_least_bad_element(mul, bad):
+    with pytest.raises(SpecInvalid, match=f"^element {bad} has no unique right inverse$"):
+        FiniteGroup(mul, identity=0)
+
+
 def test_non_associative_loop_table_rejected():
     # Z/512 with one intercalate swapped: still a Latin square with a two-sided
     # identity and unique inverses, but (1 1) 2 = 2 2 = 260 and 1 (1 2) = 4;

@@ -128,6 +128,13 @@ def test_line_action_matches_per_element_loop(p):
         assert fixed[g].tolist() == [plane_oracle.fixes_line_pointwise(M, L, p) for L in lines]
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_gl2_table_matches_row_loop(p):
+    G, _ = _gl2_group(p)
+    assert G.mul.dtype == np.int64
+    assert np.array_equal(G.mul, plane_oracle.gl2_table(p))
+
+
 # -- degree sets -----------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ from normone import groups, structure
 from normone.catalog import (
     a4_shape_spec,
     abelian_spec,
+    beta_shape_spec,
     catalog_group,
     cyclic_spec,
 )
@@ -15,6 +16,7 @@ from normone.finab import FinAb
 from normone.groups import (
     all_subgroups,
     build_group,
+    extend_from_generators,
     full_subgroup,
     subgroup_closure,
     sylow_subgroup,
@@ -33,6 +35,7 @@ from normone.structure import (
     sha_p_part,
     sha_prime_index_family,
     sha_prime_to_p,
+    _find_isomorphism,
     _p_restriction_check,
 )
 
@@ -355,6 +358,83 @@ def test_classify_alpha_p5():
     G75, H75, _ = build_semidirect(witness_rep(5, 3))
     c = classify_two_prime_index(G75, H75)
     assert (c.kind, c.p) == ("alpha", 5)
+
+
+def _leaf_only_isomorphism(ref, G):
+    """The isomorphism search checked only at complete generator tuples: the
+    pools of `_find_isomorphism` in the same order, pruned by the orders of
+    pairwise products, then `extend_from_generators` and a bijection test
+    at each leaf."""
+    if ref.order != G.order:
+        return None
+    gens = list(ref.gens)
+    orders = [ref.element_order(s) for s in gens]
+    pools = [[x for x in G.elements() if G.element_order(x) == o] for o in orders]
+    table = G.mul.tolist()
+    order_in_G = G.element_orders.tolist()
+    pair_order = [[ref.element_order(int(ref.mul[a, b])) for b in gens] for a in gens]
+
+    def compatible(chosen, x):
+        i = len(chosen)
+        for j, y in enumerate(chosen):
+            if pair_order[j][i] != order_in_G[table[y][x]]:
+                return False
+            if pair_order[i][j] != order_in_G[table[x][y]]:
+                return False
+        return True
+
+    def backtrack(chosen):
+        if len(chosen) == len(gens):
+            f = extend_from_generators(ref, list(chosen), lambda a, b: table[a][b], G.identity)
+            if f is not None and len(set(f)) == ref.order:
+                return f
+            return None
+        for x in pools[len(chosen)]:
+            if compatible(chosen, x):
+                result = backtrack(chosen + [x])
+                if result is not None:
+                    return result
+        return None
+
+    return backtrack([])
+
+
+_SEARCH_PAIRS = {
+    **{
+        f"alpha{p}": (
+            lambda p=p: build_group(a4_shape_spec(p)),
+            lambda p=p: build_semidirect(witness_rep(p, 3))[0],
+        )
+        for p in (2, 5, 7, 11)
+    },
+    **{
+        f"beta{p}": (
+            lambda p=p: build_group(beta_shape_spec(p)),
+            lambda p=p: build_semidirect(s3_standard_rep(p))[0],
+        )
+        for p in (5, 7)
+    },
+    # equal orders, not isomorphic: the search must come back empty
+    "beta5/Z150": (lambda: build_group(beta_shape_spec(5)), lambda: build_group(cyclic_spec(150))),
+    "alpha5/F5^2xZ3": (
+        lambda: build_group(a4_shape_spec(5)),
+        lambda: build_group(abelian_spec(5, 5, 3)),
+    ),
+    "D4/Q8": (lambda: catalog_group("D4"), lambda: catalog_group("Q8")),
+    # these have homomorphisms that keep the generator orders but are not injective
+    "V4/Z4": (lambda: catalog_group("V4"), lambda: catalog_group("Z4")),
+    "Z3xZ3/Z9": (lambda: catalog_group("Z3xZ3"), lambda: build_group(cyclic_spec(9))),
+    "E8/Z2xZ4": (lambda: catalog_group("E8"), lambda: catalog_group("Z2xZ4")),
+}
+
+
+@pytest.mark.parametrize("name", list(_SEARCH_PAIRS))
+def test_isomorphism_search_matches_leaf_only_search(name):
+    make_ref, make_G = _SEARCH_PAIRS[name]
+    ref, G = make_ref(), make_G()
+    expected = _leaf_only_isomorphism(ref, G)
+    assert _find_isomorphism(ref, G) == expected
+    assert (expected is None) == ("/" in name)
 
 
 def test_classify_coprime_certificate():
