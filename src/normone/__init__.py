@@ -9,7 +9,6 @@ which degrees the obstruction can be nonzero.
 from .finab import FinAb
 from .groups import (
     FiniteGroup,
-    GroupSpec,
     SubgroupHandle,
     abelianization,
     all_subgroups,

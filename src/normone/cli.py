@@ -30,7 +30,6 @@ from .errors import (
     SpecInvalid,
 )
 from .groups import (
-    GroupSpec,
     _rank_mod_p,
     build_group,
     full_subgroup,
@@ -51,7 +50,8 @@ EXIT_PARSE = 3
 
 
 def load_group_spec(source):
-    """Parse and schema-check a group-spec document (JSON text or file path).
+    """Parse and schema-check a group-spec document (JSON text or file path)
+    into the spec dict that `build_group` takes.
 
     A document nested too deeply to parse or check is a ParseError too.
     """
@@ -102,25 +102,25 @@ def _validate_spec_dict(doc):
     if not isinstance(doc, dict):
         raise SchemaError("group spec must be an object")
     kind = doc.get("kind")
-    if kind not in GroupSpec.KINDS:
+    if not isinstance(kind, str) or kind not in _FIELDS:
         raise SchemaError(f"unknown or missing kind {kind!r}")
-    payload = {k: v for k, v in doc.items() if k != "kind"}
+    spec = dict(doc)
     for key, (check, what) in _FIELDS[kind].items():
-        if key not in payload:
+        if key not in spec:
             raise SchemaError(f"{kind} spec needs {key!r}")
-        if not check(payload[key]):
+        if not check(spec[key]):
             raise SchemaError(f"{kind} spec field {key!r} must be {what}")
     if kind == "semidirect":
-        p, m = payload["p"], payload["m"]
-        for M in payload["matrices"]:
+        p, m = spec["p"], spec["m"]
+        for M in spec["matrices"]:
             if len(M) != m or any(len(row) != m for row in M):
                 raise SchemaError(f"action matrix must be {m}x{m}")
             if _rank_mod_p(M, p) < m:
                 raise SchemaError("action matrix is not invertible mod p")
-        payload["acting"] = _validate_spec_dict(payload["acting"]).to_dict()
+        spec["acting"] = _validate_spec_dict(spec["acting"])
     elif kind == "product":
-        payload["factors"] = [_validate_spec_dict(f).to_dict() for f in payload["factors"]]
-    return GroupSpec(kind, payload)
+        spec["factors"] = [_validate_spec_dict(f) for f in spec["factors"]]
+    return spec
 
 
 def resolve_subgroup(G, text):
@@ -182,11 +182,11 @@ def _finab_json(f):
 
 def cmd_sha(args):
     spec = load_group_spec(args.group)
-    G = build_group(spec.to_dict())
+    G = build_group(spec)
     H = resolve_subgroup(G, args.subgroup)
     dset = [resolve_subgroup(G, t) for t in (args.dset or "").split(";") if t.strip()]
     inputs = {
-        "group": spec.to_dict(),
+        "group": spec,
         "subgroup": args.subgroup,
         "p": args.p,
         "dset": args.dset or "",
@@ -263,9 +263,9 @@ def cmd_dset(args):
 
 def cmd_classify(args):
     spec = load_group_spec(args.group)
-    G = build_group(spec.to_dict())
+    G = build_group(spec)
     H = resolve_subgroup(G, args.subgroup)
-    inputs = {"group": spec.to_dict(), "subgroup": args.subgroup}
+    inputs = {"group": spec, "subgroup": args.subgroup}
     c = classify_two_prime_index(G, H)
     results = {"kind": c.kind, "p": c.p, "display": str(c)}
     return _report("classify", inputs, results)

@@ -68,26 +68,6 @@ def is_prime(p):
     return True
 
 
-class GroupSpec:
-    """Declarative description of a finite group (see cli for the schema)."""
-
-    KINDS = ("table", "permutations", "semidirect", "product")
-
-    def __init__(self, kind, payload):
-        if kind not in self.KINDS:
-            raise SpecInvalid(f"unknown group-spec kind {kind!r}")
-        self.kind = kind
-        self.payload = dict(payload)
-
-    def to_dict(self):
-        out = {"kind": self.kind}
-        out.update(self.payload)
-        return out
-
-    def __repr__(self):
-        return f"GroupSpec({self.kind})"
-
-
 class FiniteGroup:
     """Explicit finite group: multiplication table plus element indexing."""
 
@@ -178,16 +158,8 @@ class FiniteGroup:
         the group, w(g) being the tree word of g.
         """
         if self._tree is None:
-            on_tree = np.zeros((self.order, len(self.gens)), dtype=bool)
-            tree, queue, seen = [], [self.identity], {self.identity}
-            for g in queue:
-                for i, s in enumerate(self.gens):
-                    h = int(self.mul[g, s])
-                    if h not in seen:
-                        seen.add(h)
-                        queue.append(h)
-                        on_tree[g, i] = True
-                        tree.append((g, i, h))
+            layers, _, on_tree = _cayley_layers(self, self.gens, [self.identity])
+            tree = [edge for layer in layers for edge in layer]
             self._tree = (tree, *np.nonzero(~on_tree))
         return self._tree
 
@@ -196,6 +168,36 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.label or 'order ' + str(self.order)})"
+
+
+def _cayley_layers(G, gens, start):
+    """Breadth-first search of the Cayley graph of G on `gens` (edges
+    g -> g gens[i]), outward from the element set `start`.
+
+    Returns (layers, layer_of, on_tree).  layers[0] is empty, and
+    layers[L] lists the edges (g, i, g gens[i]) that first reach an element
+    of layer L, in the order a queue meets them: by g in the order layer
+    L-1 lists it, then by i.  layer_of[x] is the layer of x, -1 where the
+    search never arrives, and on_tree[g, i] marks the edges the layers list.
+    """
+    reach = G.mul[:, list(gens)].tolist()  # reach[g][i] = g gens[i]
+    layer_of = [-1] * G.order
+    on_tree = np.zeros((G.order, len(gens)), dtype=bool)
+    frontier = [int(x) for x in start]
+    for x in frontier:
+        layer_of[x] = 0
+    layers = [[]]
+    while frontier:
+        layer = []
+        for g in frontier:
+            for i, h in enumerate(reach[g]):
+                if layer_of[h] < 0:
+                    layer_of[h] = len(layers)
+                    on_tree[g, i] = True
+                    layer.append((g, i, h))
+        layers.append(layer)
+        frontier = [h for _, _, h in layer]
+    return layers, np.array(layer_of), on_tree
 
 
 def closure_elements(mul, identity, gens, cap=None):
@@ -603,28 +605,27 @@ def all_subgroups(G):
     return [SubgroupHandle(G, elems) for elems in sorted(found, key=lambda e: (len(e), e))]
 
 
-def extend_from_generators(G, images, compose, identity_image, eq=None):
-    """Extend gens[i] |-> images[i] to a homomorphism on all of G.
+def matrix_images(G, mats, p):
+    """The homomorphism from G to m x m matrices mod p taking gens[i] to
+    mats[i], as an (order, m, m) array, or None if there is none.
 
-    Defines f(g s_i) = f(g) o f(s_i) along the edges of `G.cayley_tree`,
-    then checks that identity on the other edges, the relators.  Tree edges
-    satisfy it by construction, so it then holds on every edge, which
-    forces the homomorphism property on all pairs.  Returns the per-element
-    image list, or None if the assignment is not a homomorphism.
+    Defines A(g s_i) = A(g) mats[i] along the edges of `G.cayley_tree`,
+    then checks A(g) A(s) = A(g s) for every element g and generator s at
+    once.  Tree edges satisfy it by construction, so a failure is a
+    relator; and a map with A(1) = 1 that respects every edge is a
+    homomorphism, since every element is a word in the generators.
     """
-    if eq is None:
-        eq = lambda a, b: a == b
-    if len(images) != len(G.gens):
-        raise ValueError("one image per canonical generator required")
-    tree, rel_g, rel_i = G.cayley_tree
-    f = [None] * G.order
-    f[G.identity] = identity_image
-    for g, i, h in tree:
-        f[h] = compose(f[g], images[i])
-    for g, i in zip(rel_g.tolist(), rel_i.tolist()):
-        if not eq(f[G.mul[g, G.gens[i]]], compose(f[g], images[i])):
-            return None
-    return f
+    mats = np.asarray(mats, dtype=np.int64) % p
+    m = mats.shape[-1]
+    if mats.shape != (len(G.gens), m, m):
+        raise ValueError("one square matrix per canonical generator required")
+    A = np.empty((G.order, m, m), dtype=np.int64)
+    A[G.identity] = np.eye(m, dtype=np.int64)
+    for g, i, h in G.cayley_tree[0]:
+        A[h] = A[g] @ mats[i] % p
+    if not (A[:, None] @ mats % p == A[G.mul[:, list(G.gens)]]).all():
+        return None
+    return A
 
 
 # -- group construction ------------------------------------------------------
@@ -695,9 +696,9 @@ def _parse_cycles(text, degree):
             if not 1 <= v <= degree:
                 raise SpecInvalid(f"cycle point {v} outside degree {degree}")
             pts.append(v - 1)
-        if len(set(pts)) != len(pts):
-            raise SpecInvalid(f"repeated point in cycle {cyc}")
         for i, a in enumerate(pts):
+            if a in perm:  # a map with a point in two places is no bijection
+                raise SpecInvalid(f"point {a + 1} occurs twice in cycles {text!r}")
             perm[a] = pts[(i + 1) % len(pts)]
     return {a: b for a, b in perm.items() if a != b}
 
@@ -829,14 +830,7 @@ def semidirect_product(p, m, acting, matrices, label="", order_budget=DEFAULT_OR
         mats.append(M)
     if len(mats) != len(acting.gens):
         raise SpecInvalid(f"need one action matrix per acting generator, {len(acting.gens)}")
-    eye = np.eye(m, dtype=np.int64)
-    action = extend_from_generators(
-        acting,
-        mats,
-        lambda A, B: (A @ B) % p,
-        eye,
-        eq=lambda A, B: (A == B).all(),
-    )
+    action = matrix_images(acting, np.reshape(mats, (-1, m, m)), p)
     if action is None:
         raise SpecInvalid("matrices do not define a homomorphism")
     return semidirect_from_action(p, m, acting, action, label, order_budget)
@@ -861,30 +855,20 @@ def direct_product(G1, G2, label=""):
 
 
 def build_group(spec, order_budget=DEFAULT_ORDER_BUDGET):
-    """Materialize a GroupSpec (or plain dict with a 'kind' key)."""
-    if isinstance(spec, dict):
-        payload = dict(spec)
-        kind = payload.pop("kind", None)
-        if kind is None:
-            raise SpecInvalid("group spec needs a 'kind'")
-        spec = GroupSpec(kind, payload)
-    label = spec.payload.get("label", spec.kind)
-    if spec.kind == "table":
-        G = _group_from_table(spec.payload, label)
-    elif spec.kind == "permutations":
-        G = _group_from_permutations(spec.payload, order_budget, label)
-    elif spec.kind == "semidirect":
-        acting = build_group(spec.payload["acting"], order_budget)
+    """Materialize a group spec: a dict with a 'kind' key (see cli for the schema)."""
+    kind = spec.get("kind")
+    label = spec.get("label", kind)
+    if kind == "table":
+        G = _group_from_table(spec, label)
+    elif kind == "permutations":
+        G = _group_from_permutations(spec, order_budget, label)
+    elif kind == "semidirect":
+        acting = build_group(spec["acting"], order_budget)
         G = semidirect_product(
-            spec.payload["p"],
-            spec.payload["m"],
-            acting,
-            spec.payload["matrices"],
-            label=label,
-            order_budget=order_budget,
+            spec["p"], spec["m"], acting, spec["matrices"], label=label, order_budget=order_budget
         )
-    else:  # product
-        factors = [build_group(f, order_budget) for f in spec.payload["factors"]]
+    elif kind == "product":
+        factors = [build_group(f, order_budget) for f in spec["factors"]]
         if not factors:
             raise SpecInvalid("product needs at least one factor")
         G = factors[0]
@@ -894,6 +878,8 @@ def build_group(spec, order_budget=DEFAULT_ORDER_BUDGET):
             G = direct_product(G, F)
         if label != G.label:
             G = FiniteGroup(G.mul, G.identity, label=label, gens=G.gens, validate=False)
+    else:
+        raise SpecInvalid(f"unknown or missing group-spec kind {kind!r}")
     if G.order > order_budget:
         raise OrderBudgetExceeded(f"group order {G.order} exceeds budget {order_budget}")
     return G

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import cyclic_spec
+from .catalog import cyclic_spec, symmetric3_spec
 from .errors import (
     NotCoprime,
     NotPrime,
@@ -40,8 +40,8 @@ from .groups import (
     SubgroupHandle,
     _rank_mod_p,
     build_group,
-    extend_from_generators,
     is_prime,
+    matrix_images,
     semidirect_from_action,
     subgroup_closure,
     subgroup_classes,
@@ -229,12 +229,9 @@ class RepTwoDim:
         G, p = self.group, self.p
         if G.order % p == 0:
             raise NotCoprime("the group order must be coprime to p")
-        if not (self.mats[G.identity] == np.eye(2, dtype=np.int64)).all():
-            raise SpecInvalid("identity must act trivially")
-        for s in G.gens:
-            prod = self.mats @ self.mats[s] % p
-            if not (prod == self.mats[G.mul[:, s]]).all():
-                raise SpecInvalid("matrices do not define a homomorphism")
+        images = matrix_images(G, self.mats[list(G.gens)], p)
+        if images is None or (images != self.mats).any():
+            raise SpecInvalid("matrices do not define a homomorphism")
         if self.hprime is not None and self.line is not None:
             stays, _ = _on_line(self.mats[list(self.hprime.elements)], self.line, p)
             if not stays.all():
@@ -260,19 +257,11 @@ def check_bc(rep):
 
 
 def _rep_from_generator_matrix(G, M, p, line=None, hprime=None):
-    if G.order == 1:
-        eye = np.eye(2, dtype=np.int64).reshape(1, 2, 2)
-        return RepTwoDim(G, p, eye, line=line, hprime=hprime, validate=False)
-    mats = extend_from_generators(
-        G,
-        [np.asarray(M, dtype=np.int64) % p],
-        lambda A, B: (A @ B) % p,
-        np.eye(2, dtype=np.int64),
-        eq=lambda A, B: (A == B).all(),
-    )
+    # M is the image of a cyclic group's generator; the trivial group has none
+    mats = matrix_images(G, np.asarray(M)[None][: len(G.gens)], p)
     if mats is None:
         raise SpecInvalid("generator matrix does not define a representation")
-    return RepTwoDim(G, p, np.stack(mats), line=line, hprime=hprime, validate=False)
+    return RepTwoDim(G, p, mats, line=line, hprime=hprime, validate=False)
 
 
 def reps_of_cyclic(p, n):
@@ -362,9 +351,7 @@ def s3_standard_rep(p):
     p = int(p)
     if not is_prime(p) or p < 5:
         raise PreconditionFailed("a prime p >= 5 is required")
-    s3 = build_group(
-        {"kind": "permutations", "degree": 3, "generators": ["(1 2 3)", "(1 2)"], "label": "S3"}
-    )
+    s3 = build_group(symmetric3_spec())
     H = subgroup_closure(s3, [s3.gens[1]])  # the marked point stabilizer
     J, qmap = j_lattice(s3, [(H, 1)])
     mats = J.act % p

@@ -31,6 +31,7 @@ from .catalog import a4_shape_spec, beta_shape_spec, cyclic_spec
 from .finab import FinAb, _factorize
 from .groups import (
     SubgroupHandle,
+    _cayley_layers,
     _distinct,
     build_group,
     commutator_subgroup,
@@ -369,29 +370,15 @@ def _prefix_checks(ref, gens, known):
     K' is generated by all but the last of `gens`.
 
     Returns (steps, members).  `steps` follows the breadth-first layers of
-    the Cayley graph of K on `gens` outward from K': step L holds the edges
-    (parent, generator index, child) that first reach layer L, then the
-    other edges of K whose two ends lie in layers <= L, except the edges of
-    K' itself.  `members` lists K.  A map built along the first arrays is a
-    homomorphism on K exactly when it respects the second arrays and was
-    one on K' (as in `extend_from_generators`).
+    the Cayley graph of K on `gens` outward from K' (`groups._cayley_layers`):
+    step L holds the edges (parent, generator index, child) that first
+    reach layer L, then the other edges of K whose two ends lie in layers
+    <= L, except the edges of K' itself.  `members` lists K.  A map built
+    along the first arrays is a homomorphism on K exactly when it respects
+    the second arrays and was one on K': then it respects every edge of K.
     """
     last = len(gens) - 1
-    layer_of = np.full(ref.order, -1, dtype=np.int64)
-    layer_of[known] = 0
-    on_tree = np.zeros((ref.order, len(gens)), dtype=bool)
-    tree, frontier = [[]], list(known)
-    while frontier:
-        layer = []
-        for g in frontier:
-            for j, s in enumerate(gens):
-                h = int(ref.mul[g, s])
-                if layer_of[h] < 0:
-                    layer_of[h] = len(tree)
-                    on_tree[g, j] = True
-                    layer.append((g, j, h))
-        tree.append(layer)
-        frontier = [h for _, _, h in layer]
+    layers, layer_of, on_tree = _cayley_layers(ref, gens, known)
     members = np.flatnonzero(layer_of >= 0)
     src, gen = np.nonzero(~on_tree[members])
     src = members[src]
@@ -400,7 +387,7 @@ def _prefix_checks(ref, gens, known):
     dst = ref.mul[src, np.array(gens)[gen]]
     stage = np.maximum(layer_of[src], layer_of[dst])
     steps = []
-    for L, layer in enumerate(tree):
+    for L, layer in enumerate(layers):
         at = stage == L
         if layer or at.any():
             parent, j, child = np.array(layer, dtype=np.int64).reshape(-1, 3).T
@@ -527,9 +514,6 @@ def classify_two_prime_index(G, H):
 # -- witnesses with composite exponent ---------------------------------------------
 
 
-_PLANE_ROTATION = [[0, -1], [1, -1]]  # order-3 plane map with no fixed line
-
-
 def composite_sha_witness(p, variant, ell=None):
     """A witness pair whose obstruction group has composite exponent.
 
@@ -542,12 +526,13 @@ def composite_sha_witness(p, variant, ell=None):
     p = int(p)
     if not is_prime(p) or p == 3:
         raise PreconditionFailed("p must be a prime different from 3")
+    rotation = a4_shape_spec(p)["matrices"][0]  # order 3, no fixed line
     if variant == "i":
         spec = {
             "kind": "semidirect",
             "p": p,
             "m": 2,
-            "matrices": [_PLANE_ROTATION, [[1, 0], [0, 1]]],
+            "matrices": [rotation, [[1, 0], [0, 1]]],
             "acting": {
                 "kind": "product",
                 "factors": [cyclic_spec(3), cyclic_spec(3)],
@@ -565,19 +550,12 @@ def composite_sha_witness(p, variant, ell=None):
         ell = int(ell)
         if not is_prime(ell) or ell in (3, p):
             raise PreconditionFailed("the auxiliary prime must not divide 3p")
-        inner = {
-            "kind": "semidirect",
-            "p": ell,
-            "m": 2,
-            "matrices": [_PLANE_ROTATION],
-            "acting": cyclic_spec(3),
-            "label": f"F{ell}^2:Z3",
-        }
+        inner = {**a4_shape_spec(ell), "label": f"F{ell}^2:Z3"}
         spec = {
             "kind": "semidirect",
             "p": p,
             "m": 2,
-            "matrices": [[[1, 0], [0, 1]], [[1, 0], [0, 1]], _PLANE_ROTATION],
+            "matrices": [[[1, 0], [0, 1]], [[1, 0], [0, 1]], rotation],
             "acting": inner,
             "label": f"W{3 * p * p * ell * ell}",
         }

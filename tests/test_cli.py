@@ -40,11 +40,11 @@ def run_capture(capsys, argv):
 
 def test_load_inline_and_file(tmp_path):
     spec = load_group_spec(A4_JSON)
-    assert spec.kind == "semidirect"
+    assert spec == a4_shape_spec(2)
     path = tmp_path / "a4.json"
     path.write_text(A4_JSON)
     spec2 = load_group_spec(str(path))
-    assert spec2.to_dict() == spec.to_dict()
+    assert spec2 == spec
 
 
 def test_parse_error_carries_position():
@@ -270,6 +270,9 @@ def _sha_argv(spec, *extra):
          "SpecInvalid", EXIT_PARSE),
         (_sha_argv({"kind": "permutations", "degree": 10**9, "generators": ["(1 1000000001)"]}),
          "SpecInvalid", EXIT_PARSE),
+        # a point in two cycles: the map is no permutation
+        (_sha_argv({"kind": "permutations", "degree": 3, "generators": ["(1 2)(2 3)"]}),
+         "SpecInvalid", EXIT_PARSE),
     ],
 )
 def test_malformed_input_exits_with_typed_error(capsys, argv, error, code):
@@ -415,6 +418,8 @@ def test_queries_do_not_import_numpy_ma():
         ["witness", "--p", "7", "--variant", "i"],
         ["scan-reps", "--p", "3", "--n", "2"],
     ]
+    # the child imports the normone this process tests, wherever pytest found it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", _QUERIES_IN_FRESH_PROCESS, json.dumps(queries)],
-                         capture_output=True, text=True, check=True).stdout
+                         capture_output=True, text=True, check=True, env=env).stdout
     assert out.split("\n")[:-1] == [f"{argv[0]} 0 False" for argv in queries]

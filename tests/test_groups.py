@@ -31,10 +31,10 @@ from normone.groups import (
     core,
     cyclic_subgroups,
     double_cosets,
-    extend_from_generators,
     full_subgroup,
     index_vector,
     is_prime,
+    matrix_images,
     normalizer_centralizer,
     semidirect_from_action,
     subgroup_classes,
@@ -152,6 +152,20 @@ def test_non_associative_loop_table_rejected():
         mul[i][j] = (mul[i][j] + h) % n
     with pytest.raises(SpecInvalid, match="not associative"):
         build_group({"kind": "table", "n": n, "mul": mul})
+
+
+@pytest.mark.parametrize("cycles, point", [("(1 2)(2 3)", 2), ("(1 2 3)(4 1)", 1), ("(1 2 1)", 1)])
+def test_point_in_two_cycles_rejected(cycles, point):
+    # such a map sends two points to one: it is not a permutation
+    spec = {"kind": "permutations", "degree": 4, "generators": [cycles]}
+    with pytest.raises(SpecInvalid, match=f"^point {point} occurs twice in cycles"):
+        build_group(spec)
+
+
+def test_unknown_kind_rejected():
+    for spec in ({"kind": "mystery", "factors": [cyclic_spec(2)]}, {"n": 1, "mul": [0]}):
+        with pytest.raises(SpecInvalid, match="unknown or missing group-spec kind"):
+            build_group(spec)
 
 
 def test_non_homomorphic_semidirect_matrices():
@@ -693,26 +707,53 @@ def test_is_prime_matches_trial_division():
         is_prime(399165290221 * 798330580441)
 
 
-# -- extension along the Cayley tree -----------------------------------------------
+# -- the Cayley tree and generator images ---------------------------------------------
+
+
+def _queue_cayley_tree(G):
+    """The breadth-first tree by one queue from the identity, generators in
+    order at each element, with the other edges in (g, i) order."""
+    on_tree = np.zeros((G.order, len(G.gens)), dtype=bool)
+    tree, queue, seen = [], [G.identity], {G.identity}
+    for g in queue:
+        for i, s in enumerate(G.gens):
+            h = int(G.mul[g, s])
+            if h not in seen:
+                seen.add(h)
+                queue.append(h)
+                on_tree[g, i] = True
+                tree.append((g, i, h))
+    return (tree, *np.nonzero(~on_tree))
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["S4", "A5"])
+def test_cayley_tree_matches_queue(name):
+    G = catalog_group(name) if name in catalog_names() else build_group(_SEARCH_GROUPS[name])
+    tree, rel_g, rel_i = G.cayley_tree
+    ref_tree, ref_g, ref_i = _queue_cayley_tree(G)
+    assert tree == ref_tree
+    assert rel_g.tolist() == ref_g.tolist() and rel_i.tolist() == ref_i.tolist()
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(catalog_names()), st.sampled_from(catalog_names()),
-       st.lists(st.integers(0, 23), min_size=3, max_size=3))
-@example("Z3", "Z2", [1, 0, 0])  # s -> the involution: only the edge s^2 . s = 1 fails
-def test_extend_from_generators_matches_all_pairs(gname, tname, picks):
-    G, T = catalog_group(gname), catalog_group(tname)
-    images = [x % T.order for x in picks[: len(G.gens)]]
-    got = extend_from_generators(G, images, lambda a, b: int(T.mul[a, b]), T.identity)
+@given(st.sampled_from(catalog_names()), st.sampled_from([2, 3, 5]), st.sampled_from([1, 2]),
+       st.lists(st.integers(0, 4), min_size=12, max_size=12))
+@example("Z3", 3, 1, [2] * 12)  # s -> -1: only the edge s^2 . s = 1 fails
+@example("A4", 5, 2, [1, 0, 0, 1, 1, 0, 0, 1, 0, 4, 1, 4])  # the plane rotation: a homomorphism
+def test_matrix_images_matches_all_pairs(gname, p, m, entries):
+    G = catalog_group(gname)
+    k = len(G.gens)
+    mats = np.array(entries[: k * m * m], dtype=np.int64).reshape(k, m, m) % p
+    got = matrix_images(G, mats, p)
     # the map defined along the tree, checked on all pairs (g, h)
     tree, rel_g, rel_i = G.cayley_tree
-    f = np.full(G.order, T.identity)
+    A = np.zeros((G.order, m, m), dtype=np.int64)
+    A[G.identity] = np.eye(m, dtype=np.int64)
     for g, i, h in tree:
-        f[h] = T.mul[f[g], images[i]]
-    if (f[G.mul] == T.mul[np.ix_(f, f)]).all():
-        assert got == f.tolist()
+        A[h] = A[g] @ mats[i] % p
+    if (A[G.mul] == A[:, None] @ A[None, :] % p).all():
+        assert got is not None and (got == A).all()
     else:
         assert got is None
         # tree edges hold by construction, so some relator edge fails
-        s_i, img_i = np.array(G.gens)[rel_i], np.array(images)[rel_i]
-        assert (f[G.mul[rel_g, s_i]] != T.mul[f[rel_g], img_i]).any()
+        assert (A[G.mul[rel_g, np.array(G.gens)[rel_i]]] != A[rel_g] @ mats[rel_i] % p).any()

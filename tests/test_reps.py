@@ -286,6 +286,19 @@ def test_s3_standard_rep_at_large_primes(p):
         RepTwoDim(rep.group, p, rep.mats, line=moved, hprime=rep.hprime)
 
 
+def test_validation_rejects_non_homomorphisms():
+    from normone.catalog import catalog_group
+
+    G, p = catalog_group("Z3"), 5
+    eye = np.eye(2, dtype=np.int64)
+    RepTwoDim(G, p, [eye, eye, eye])
+    # s -> -1 extends along the tree to [1, -1, 1], which breaks s^2 . s = 1
+    with pytest.raises(SpecInvalid, match="do not define a homomorphism"):
+        RepTwoDim(G, p, [eye, -eye, eye])
+    with pytest.raises(SpecInvalid, match="do not define a homomorphism"):
+        RepTwoDim(G, p, [2 * eye, eye, eye])  # the identity must act trivially
+
+
 # -- Sylow generators of the matrix group --------------------------------------------
 
 

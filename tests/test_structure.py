@@ -16,7 +16,6 @@ from normone.finab import FinAb
 from normone.groups import (
     all_subgroups,
     build_group,
-    extend_from_generators,
     full_subgroup,
     subgroup_closure,
     sylow_subgroup,
@@ -360,10 +359,25 @@ def test_classify_alpha_p5():
     assert (c.kind, c.p) == ("alpha", 5)
 
 
+def _extend_from_generators(G, images, compose, identity_image):
+    """Extend gens[i] |-> images[i] to a homomorphism on all of G, or None:
+    defined along the edges of `G.cayley_tree`, then checked on the other
+    edges, the relators."""
+    tree, rel_g, rel_i = G.cayley_tree
+    f = [None] * G.order
+    f[G.identity] = identity_image
+    for g, i, h in tree:
+        f[h] = compose(f[g], images[i])
+    for g, i in zip(rel_g.tolist(), rel_i.tolist()):
+        if f[G.mul[g, G.gens[i]]] != compose(f[g], images[i]):
+            return None
+    return f
+
+
 def _leaf_only_isomorphism(ref, G):
     """The isomorphism search checked only at complete generator tuples: the
     pools of `_find_isomorphism` in the same order, pruned by the orders of
-    pairwise products, then `extend_from_generators` and a bijection test
+    pairwise products, then `_extend_from_generators` and a bijection test
     at each leaf."""
     if ref.order != G.order:
         return None
@@ -385,7 +399,7 @@ def _leaf_only_isomorphism(ref, G):
 
     def backtrack(chosen):
         if len(chosen) == len(gens):
-            f = extend_from_generators(ref, list(chosen), lambda a, b: table[a][b], G.identity)
+            f = _extend_from_generators(ref, list(chosen), lambda a, b: table[a][b], G.identity)
             if f is not None and len(set(f)) == ref.order:
                 return f
             return None
