@@ -17,6 +17,13 @@ normalized bar cochains; in degree 2, c(g, h) sums the relator values over
 the non-tree edges crossed by the walk of w(h) from g.  Back from a bar
 2-cochain, relator (g, i) takes Phi(w(g) s_i) - Phi(w(g s_i)), where
 Phi(x_1...x_m) = sum_l c(x_1...x_l, x_{l+1}).
+
+The restriction kernel `sha` needs only the maximal members of the dset up
+to conjugacy.  A cyclic member <g> of order m is restricted through the
+one-relator presentation <g | g^m>, whose d^1 is the norm sum_i g^i and
+whose relator value is sum_i c(g^i, g), so it needs no subgroup group and
+no restricted lattice.  All members' conditions are solved as one kernel of
+a block-diagonal stack.
 """
 
 from __future__ import annotations
@@ -106,13 +113,21 @@ def cocycle2_defect(M, c):
     d c(g, s, h) = g.c(s, h) - c(gs, h) + c(g, sh) - c(g, s) for each
     generator s and all g, h.  Exact: the middle elements that pass are
     closed under products, and the elements of M and the generators of G
-    pass and generate the extension.
+    pass and generate the extension.  Where (r max|act| + 3) max|c| < 2^53
+    the test runs in float64, so the products g.c(s, h) use BLAS: that
+    bounds every partial sum, so each value is an exact integer.  Otherwise
+    it runs in c's own dtype (numpy multiplies int64 without BLAS).
     """
     G = M.group
     c = np.asarray(c)
     defect = max(_maxabs(c[G.identity]), _maxabs(c[:, G.identity]))
+    exact = (M.rank * _maxabs(M.act) + 3) * _maxabs(c) < 2**53
+    if exact and c.dtype == object:
+        c = c.astype(np.int64)
+    act = M.act.astype(np.float64) if exact else M.act
     for s in G.gens:
-        gc = np.matmul(M.act, c[s].T).transpose(0, 2, 1)  # [g, h] = g.c(s, h)
+        cs = c[s].T.astype(np.float64) if exact else c[s].T
+        gc = np.matmul(act, cs).transpose(0, 2, 1)  # [g, h] = g.c(s, h)
         d = gc - c[G.mul[:, s]] + c[:, G.mul[s]] - c[:, s][:, None, :]
         defect = max(defect, _maxabs(d))
     return defect
@@ -217,7 +232,7 @@ def restriction_class(c, D):
     On bar cochains the restriction map is literal function restriction.
     """
     elems = np.array(D.elements, dtype=np.int64)
-    return np.array(c, dtype=object)[np.ix_(elems, elems)]
+    return np.asarray(c)[np.ix_(elems, elems)].astype(object)
 
 
 def is_coboundary(D, M, c):
@@ -319,63 +334,108 @@ def close_dset(G, dset):
     return sorted(seen.values(), key=lambda h: (h.order, h.elements))
 
 
-def _effective_dset(G, closed):
-    """Prune the closed family for the kernel computation.
+def _restriction_members(G, dset):
+    """The members whose restriction conditions cut out Sha, up to conjugacy.
 
-    Restriction kernels agree on conjugate subgroups, and a subgroup
-    contained in another member imposes a weaker condition, so only
-    maximal members up to conjugacy matter.
+    Restriction kernels agree on conjugate subgroups, and a member inside a
+    conjugate of another imposes a weaker condition, so only maximal members
+    up to conjugacy matter.  The user's non-cyclic members are pruned by
+    containment of conjugates, larger first.  Every cyclic subgroup lies in a
+    maximal cyclic one, <x> for an x that is no power of an element of larger
+    order.  <x> and <y> are conjugate iff a generator of <x> is conjugate to
+    one of <y>, so the least class element over the generators of <x> names
+    it up to conjugacy; and <x> lies in a conjugate of a kept member K iff the
+    class of x meets K.  Returns the generators of the cyclic members (the
+    least one of each conjugacy class of subgroups) and the non-cyclic members.
     """
     canon = {}
-    for h in closed:
-        c = h.canonical_conjugate()
-        canon[c.elements] = c
-    members = sorted(canon.values(), key=lambda h: (-h.order, h.elements))
+    for h in dset:
+        if not h.is_cyclic:
+            c = h.canonical_conjugate()
+            canon[c.elements] = c
     kept = []
-    for h in members:
+    for h in sorted(canon.values(), key=lambda h: (-h.order, h.elements)):
         # drop h if a conjugate of it lies in a kept member
         conjugates = h.conjugates()
         if not any(np.isin(conjugates, k.elements).all(axis=1).any() for k in kept):
             kept.append(h)
-    return kept
+    orders, powers = G.element_orders, G.powers
+    proper = np.zeros(G.order, dtype=bool)  # powers of elements of larger order
+    proper[powers[orders[powers] < orders[:, None]]] = True
+    least = G.mul[G.mul, G.inv[:, None]].min(axis=0)  # least element of each class
+    covered = np.zeros(G.order, dtype=bool)  # classes meeting a kept member
+    for K in kept:
+        covered[least[list(K.elements)]] = True
+    key = np.where(orders[powers] == orders[:, None], least[powers], G.order).min(axis=1)
+    cyclic = {}
+    for x in np.flatnonzero(~proper & ~covered[least] & (orders > 1)).tolist():
+        cyclic.setdefault(int(key[x]), x)
+    return list(cyclic.values()), kept
+
+
+def _restriction_lattice(G, M, base, dset):
+    """Hermite basis (columns) of the coefficient vectors a for which
+    sum_j a_j c_j, over the generators c_j of `base` = H^2(G, M), restricts
+    to 0 on every member of the closed dset.
+
+    Restriction to a cyclic member D = <g> of order m goes through the
+    presentation <g | g^m>: its d^1 is the norm N = sum_i g^i and the relator
+    value of a bar cocycle c is z = sum_i c(g^i, g), so H^2(D, M) = M^D / N M
+    and c restricts to 0 iff z lies in N M.  A non-cyclic member D is
+    restricted to its own presentation complex: the relator values C_D of
+    the generators against D's d^1.  The blocks [z_j | N] and [C_D | d^1_D]
+    share the columns of a and each have their own for a 1-cochain f_D, so
+    one kernel of the block-diagonal stack, projected onto a, is the
+    intersection over all members at once.
+    """
+    kcount = len(base.generators)
+    cyclic, noncyclic = _restriction_members(G, dset)
+    if any(D.order == G.order for D in noncyclic):  # restriction to G is injective
+        return np.diag(np.array(base.structure.factors, dtype=object))
+    blocks = []  # (relator values of the generators, d^1 of the member)
+    for g in cyclic:
+        cyc = G.powers[g, : G.element_orders[g]]
+        z = np.stack([c[cyc[1:], g].sum(axis=0) for c in base.generators], axis=1)
+        blocks.append((z, M.act[cyc].sum(axis=0)))
+    for D in noncyclic:
+        RM = restrict(M, D)
+        C = np.stack(
+            [_relator_values(RM.group, restriction_class(c, D)).reshape(-1)
+             for c in base.generators],
+            axis=1,
+        )
+        blocks.append((C, _coboundary1(RM)))
+    rows = sum(C.shape[0] for C, _ in blocks)
+    cols = kcount + sum(d1.shape[1] for _, d1 in blocks)
+    stack = np.zeros((rows, cols), dtype=np.result_type(*(x for b in blocks for x in b)))
+    i, j = 0, kcount
+    for C, d1 in blocks:
+        stack[i : i + C.shape[0], :kcount] = C
+        stack[i : i + C.shape[0], j : j + d1.shape[1]] = d1
+        i, j = i + C.shape[0], j + d1.shape[1]
+    return intmat.column_lattice_basis(intmat.kernel_basis(stack)[:kcount])
 
 
 def sha(G, M, dset, budget=DEFAULT_COCHAIN_BUDGET):
     """The subgroup of H^2(G, M) killed by restriction to every member of
-    the closed dset (user-supplied members plus all cyclic subgroups)."""
+    the closed dset (user-supplied members plus all cyclic subgroups).
+
+    The members are pruned to the maximal ones up to conjugacy by element
+    data (`_restriction_members`).  A cyclic member <g> of order m is
+    restricted through <g | g^m> (H^2(<g>, M) = M^<g> / N M, N the norm),
+    a non-cyclic one through its own presentation complex, and one kernel
+    of the stacked conditions of all members (`_restriction_lattice`)
+    gives the coefficient lattice of the kernel.  Its quotient by the
+    orders of the H^2 generators is Sha.
+    """
     base = cohomology(G, M, 2, budget)
     raw = list(dset)
     closed = close_dset(G, raw)
     orders = list(base.structure.factors)
-    kcount = len(orders)
-    if kcount == 0:
+    if not orders:
         return ShaGroup(base, raw, closed, FinAb.trivial(), [])
-
-    lam0 = np.zeros((kcount, kcount), dtype=object)
-    for i, d in enumerate(orders):
-        lam0[i, i] = d
-
-    lattice = np.eye(kcount, dtype=object)
-    for D in _effective_dset(G, closed):
-        if D.order == G.order:
-            cond = lam0
-        elif D.order == 1:
-            continue
-        else:
-            RM = restrict(M, D)
-            # D's own presentation complex: the relator values of the
-            # restricted generators against D's d^1
-            C = np.stack(
-                [_relator_values(RM.group, restriction_class(c, D)).reshape(-1)
-                 for c in base.generators],
-                axis=1,
-            )
-            combined = np.hstack([C, _coboundary1(RM).astype(object)])
-            K = intmat.kernel_basis(combined)
-            cond = intmat.column_lattice_basis(K[:kcount, :])
-        lattice = intmat.lattice_intersect(lattice, cond)
-
-    qorders, qgens = intmat.quotient_group(lattice, lam0)
+    lattice = _restriction_lattice(G, M, base, raw)
+    qorders, qgens = intmat.quotient_group(lattice, np.diag(np.array(orders, dtype=object)))
     structure = FinAb.from_factors(qorders)
     gens = []
     for coeff in qgens:

@@ -71,7 +71,10 @@ def is_prime(p):
 class FiniteGroup:
     """Explicit finite group: multiplication table plus element indexing."""
 
-    __slots__ = ("order", "mul", "inv", "identity", "label", "gens", "_orders", "_tree", "_cyclic")
+    __slots__ = (
+        "order", "mul", "inv", "identity", "label", "gens",
+        "_orders", "_powers", "_tree", "_cyclic",
+    )
 
     def __init__(self, mul, identity, label="", gens=None, validate=True):
         mul = np.asarray(mul, dtype=np.int64)
@@ -82,6 +85,7 @@ class FiniteGroup:
         self.identity = int(identity)
         self.label = label
         self._orders = None
+        self._powers = None
         self._tree = None
         self._cyclic = None
         hits = mul == self.identity
@@ -146,6 +150,13 @@ class FiniteGroup:
                 orders[g] = k
             self._orders = orders
         return self._orders
+
+    @property
+    def powers(self):
+        """The power table (see `_power_table`), computed once per group."""
+        if self._powers is None:
+            self._powers = _power_table(self)
+        return self._powers
 
     @property
     def cayley_tree(self):
@@ -357,8 +368,7 @@ def cyclic_subgroups(G):
     """All cyclic subgroups of G, trivial subgroup included, deduplicated,
     as a tuple sorted by (order, elements); computed once per group."""
     if G._cyclic is None:
-        orders = G.element_orders
-        powers = _power_table(G)
+        orders, powers = G.element_orders, G.powers
         # <g> is named by its least element of the same order as g
         gens = np.where(orders[powers] == orders[:, None], powers, G.order).min(axis=1)
         out = [SubgroupHandle(G, _distinct(powers[g]).tolist()) for g in _distinct(gens)]
@@ -554,8 +564,7 @@ def subgroup_classes(G, divisor=None, max_count=200000):
     """
     divisor = G.order if divisor is None else int(divisor)
     pool = np.flatnonzero(divisor % G.element_orders == 0).tolist()
-    powers = _power_table(G)
-    orders = G.element_orders
+    powers, orders = G.powers, G.element_orders
     seen = set()
     known = set()  # every conjugate of every class found so far
     classes = []  # (elements, generators)

@@ -309,18 +309,6 @@ def solve_many(A, B):
     return V @ Z
 
 
-def lattice_intersect(B1, B2):
-    """Basis (columns) of the intersection of two column lattices in Z^N."""
-    B1 = np.array(B1, dtype=object)
-    B2 = np.array(B2, dtype=object)
-    if B1.shape[1] == 0 or B2.shape[1] == 0:
-        return np.zeros((B1.shape[0], 0), dtype=object)
-    stacked = np.hstack([B1, -B2])
-    K = kernel_basis(stacked)
-    inter = B1 @ K[: B1.shape[1], :]
-    return column_lattice_basis(inter)
-
-
 def quotient_group(Bbig, Bsmall):
     """Structure of (lattice Bbig)/(lattice Bsmall) with generator lifts.
 

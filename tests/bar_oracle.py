@@ -4,7 +4,10 @@ H^1 and H^2 are the torsion of the cokernels of the bar coboundaries d^0
 and d^1, of sizes (n-1) r x r and (n-1)^2 r x (n-1) r for a group of order
 n and a lattice of rank r, so use it on small groups only (order <= 24).
 The restriction kernel prunes the dset with a loop over the conjugates of
-each kept member.  Tests only; nothing in normone imports it.
+each kept member.  `restriction_lattice` is the per-member route that
+normone.cohomology's single stacked kernel replaced: one kernel on each
+member's own presentation complex and one lattice intersection per member.
+Tests only; nothing in normone imports it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,14 @@ from __future__ import annotations
 import numpy as np
 
 from normone import intmat
-from normone.cohomology import CohomologyGroup, ShaGroup, close_dset
+from normone.cohomology import (
+    CohomologyGroup,
+    ShaGroup,
+    _coboundary1,
+    _relator_values,
+    close_dset,
+    restriction_class,
+)
 from normone.finab import FinAb
 from normone.lattices import restrict
 
@@ -203,6 +213,18 @@ def is_coboundary(D, M, c):
     return True, embed_cochain1(sub, x.reshape(k, r))
 
 
+def lattice_intersect(B1, B2):
+    """Basis (columns) of the intersection of two column lattices in Z^N."""
+    B1 = np.array(B1, dtype=object)
+    B2 = np.array(B2, dtype=object)
+    if B1.shape[1] == 0 or B2.shape[1] == 0:
+        return np.zeros((B1.shape[0], 0), dtype=object)
+    stacked = np.hstack([B1, -B2])
+    K = intmat.kernel_basis(stacked)
+    inter = B1 @ K[: B1.shape[1], :]
+    return intmat.column_lattice_basis(inter)
+
+
 def _effective_dset(G, closed):
     """Prune the closed family for the kernel computation.
 
@@ -275,7 +297,7 @@ def sha(G, M, dset, base=None):
             combined = np.hstack([C, A.astype(object)])
             K = intmat.kernel_basis(combined)
             cond = intmat.column_lattice_basis(K[:kcount, :])
-        lattice = intmat.lattice_intersect(lattice, cond)
+        lattice = lattice_intersect(lattice, cond)
 
     qorders, qgens = intmat.quotient_group(lattice, lam0)
     structure = FinAb.from_factors(qorders)
@@ -287,3 +309,31 @@ def sha(G, M, dset, base=None):
             c = c + a * np.array(gen, dtype=object)
         gens.append(c)
     return ShaGroup(base, raw, closed, structure, gens)
+
+
+def restriction_lattice(G, M, base, dset):
+    """Hermite basis of the coefficient lattice of the kernel of restriction
+    from `base` = H^2(G, M) (normone's generators) to every member of the
+    closed dset, member by member: for each D of `_effective_dset`, the
+    kernel of [C_D | d^1_D] on D's own presentation complex, projected onto
+    the H^2 coordinates, intersected with the conditions so far.
+    """
+    kcount = len(base.generators)
+    lam0 = np.diag(np.array(base.structure.factors, dtype=object))
+    lattice = np.eye(kcount, dtype=object)
+    for D in _effective_dset(G, close_dset(G, list(dset))):
+        if D.order == G.order:
+            cond = lam0
+        elif D.order == 1:
+            continue
+        else:
+            RM = restrict(M, D)
+            C = np.stack(
+                [_relator_values(RM.group, restriction_class(c, D)).reshape(-1)
+                 for c in base.generators],
+                axis=1,
+            )
+            K = intmat.kernel_basis(np.hstack([C, _coboundary1(RM).astype(object)]))
+            cond = intmat.column_lattice_basis(K[:kcount, :])
+        lattice = lattice_intersect(lattice, cond)
+    return lattice

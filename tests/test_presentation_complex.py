@@ -10,9 +10,25 @@ import pytest
 import bar_oracle
 from normone import intmat
 from normone.catalog import abelian_spec, catalog_group, catalog_names
-from normone.cohomology import cocycle2_defect, cohomology, is_coboundary, sha
+from normone import cohomology as cohomology_module
+from normone.cohomology import (
+    _restriction_lattice,
+    _restriction_members,
+    close_dset,
+    cocycle2_defect,
+    cohomology,
+    is_coboundary,
+    sha,
+)
 from normone.finab import FinAb
-from normone.groups import all_subgroups, build_group, full_subgroup, sylow_subgroup, trivial_subgroup
+from normone.groups import (
+    all_subgroups,
+    build_group,
+    full_subgroup,
+    subgroup_closure,
+    sylow_subgroup,
+    trivial_subgroup,
+)
 from normone.lattices import induced_perm_lattice, j_lattice, trivial_lattice
 
 
@@ -26,6 +42,10 @@ def d6():
 
 def s4():
     return _perm_group("S4", 4, "(1 2 3 4)", "(1 2)")
+
+
+def a5():
+    return _perm_group("A5", 5, "(1 2 3 4 5)", "(1 2 3)")
 
 
 def _subgroup_classes(G):
@@ -66,6 +86,67 @@ def test_matches_bar_oracle(name, make):
                 assert got == bar_oracle.sha(G, lat, dset, base).structure, case
 
 
+# -- the stacked restriction kernel ------------------------------------------------
+
+
+RESTRICTION_GROUPS = ORACLE_GROUPS + [("A5", a5)]
+
+
+def _restriction_dsets(G):
+    return {"none": [], "sylow:2": [sylow_subgroup(G, 2)], "sylow:3": [sylow_subgroup(G, 3)]}
+
+
+@pytest.mark.parametrize("name, make", RESTRICTION_GROUPS, ids=[n for n, _ in RESTRICTION_GROUPS])
+def test_restriction_members_match_effective_dset(name, make):
+    # the maximal cyclic subgroups read off the power and class data, plus the
+    # pruned non-cyclic members, are the maximal members of the closed dset up
+    # to conjugacy, each once
+    G = make()
+    for label, dset in _restriction_dsets(G).items():
+        cyclic, noncyclic = _restriction_members(G, dset)
+        got = [subgroup_closure(G, [g]).canonical_conjugate().elements for g in cyclic]
+        got += [D.canonical_conjugate().elements for D in noncyclic]
+        want = [D.elements for D in bar_oracle._effective_dset(G, close_dset(G, dset)) if D.order > 1]
+        assert sorted(got) == sorted(want), (name, label)
+
+
+@pytest.mark.parametrize("name, make", RESTRICTION_GROUPS, ids=[n for n, _ in RESTRICTION_GROUPS])
+def test_restriction_lattice_matches_per_member_route(name, make):
+    # one kernel of the stacked blocks gives the Hermite basis that one kernel
+    # and one intersection per member give, for J_{G/H} and Z[G/H] of every
+    # subgroup class H
+    G = make()
+    checked = 0
+    for H in _subgroup_classes(G):
+        for lat in (j_lattice(G, [(H, 1)])[0], induced_perm_lattice(G, H)[0]):
+            base = cohomology(G, lat, 2)
+            if not base.generators:
+                continue
+            for label, dset in _restriction_dsets(G).items():
+                got = _restriction_lattice(G, lat, base, dset)
+                want = bar_oracle.restriction_lattice(G, lat, base, dset)
+                assert got.shape == want.shape and (got == want).all(), (name, H.order, label)
+                checked += 1
+    assert checked or G.order == 1
+
+
+def test_sha_solves_one_stacked_kernel(monkeypatch):
+    # one kernel for every member at once, and cyclic members need no
+    # restricted lattice: a dset-free query restricts nothing
+    G = catalog_group("A4")
+    lat, _ = j_lattice(G, [(subgroup_closure(G, [1]), 1)])
+    kernels, restricts = [], []
+    kernel_basis, restrict = intmat.kernel_basis, cohomology_module.restrict
+    monkeypatch.setattr(intmat, "kernel_basis", lambda A: kernels.append(A) or kernel_basis(A))
+    monkeypatch.setattr(cohomology_module, "restrict", lambda M, D: restricts.append(D) or restrict(M, D))
+    assert sha(G, lat, []).structure == FinAb.cyclic(2)
+    assert len(kernels) == 1 and restricts == []
+    kernels.clear()
+    S2 = sylow_subgroup(G, 2)
+    assert sha(G, lat, [S2]).structure.is_trivial()
+    assert len(kernels) == 1 and restricts == [S2]
+
+
 # -- the Schur multiplier -----------------------------------------------------------
 
 
@@ -80,7 +161,7 @@ SCHUR = [
     ("S4", s4, FinAb.cyclic(2)),
     ("D12", d6, FinAb.cyclic(2)),
     ("(Z/2)^4", lambda: build_group(abelian_spec(2, 2, 2, 2)), FinAb((2,) * 6)),
-    ("A5", lambda: _perm_group("A5", 5, "(1 2 3 4 5)", "(1 2 3)"), FinAb.cyclic(2)),
+    ("A5", a5, FinAb.cyclic(2)),
 ]
 
 
@@ -133,6 +214,26 @@ def test_cocycle_defect_matches_full_defect_on_perturbations(name):
         assert (cocycle2_defect(lat, bad) == 0) == (full == 0), (g, h, i)
         flagged += full > 0
     assert flagged == 100
+
+
+@pytest.mark.parametrize("name", ("V4", "D4"))
+def test_cocycle_defect_is_exact_past_the_float_range(name):
+    # int64 entries past float64's 53-bit mantissa keep the int64 product: a
+    # float64 one would round their low bits, and a unit perturbation, away
+    G = catalog_group(name)
+    lat, _ = j_lattice(G, [(trivial_subgroup(G), 1)])
+    rng = np.random.default_rng(3)
+    b = rng.integers(-3, 4, size=(G.order, lat.rank)).astype(object)
+    b[G.identity] = 0
+    c = (sum(cohomology(G, lat, 2).generators) * 3**36 + _bar_coboundary(lat, b)).astype(np.int64)
+    assert 2**53 < lat.rank * np.abs(c).max() < 2**62  # no int64 sum overflows
+    assert cocycle2_defect(lat, c) == 0
+    s, h = G.gens[0], next(x for x in range(G.order) if x not in (G.identity, G.gens[0]))
+    bad = c.copy()
+    bad[s, h, 0] += 1
+    unit = np.zeros(c.shape, dtype=np.int64)
+    unit[s, h, 0] = 1
+    assert cocycle2_defect(lat, bad) == bar_oracle.cocycle2_defect(lat, bad) == cocycle2_defect(lat, unit) > 0
 
 
 @pytest.mark.parametrize("name", ("V4", "S3", "Q8"))
@@ -196,4 +297,4 @@ def test_h1_generators_are_crossed_homomorphisms():
                 assert intmat.solve(diff, d * b.reshape(-1)) is not None
                 assert intmat.solve(diff, b.reshape(-1)) is None
                 checked += 1
-    assert checked
+    assert checked or G.order == 1
