@@ -169,8 +169,18 @@ class FiniteGroup:
         the group, w(g) being the tree word of g.
         """
         if self._tree is None:
-            layers, _, on_tree = _cayley_layers(self, self.gens, [self.identity])
-            tree = [edge for layer in layers for edge in layer]
+            reach = self.mul[:, list(self.gens)].tolist()  # reach[g][i] = g s_i
+            seen = [False] * self.order
+            seen[self.identity] = True
+            on_tree = np.zeros((self.order, len(self.gens)), dtype=bool)
+            tree, queue = [], [self.identity]
+            for g in queue:
+                for i, h in enumerate(reach[g]):
+                    if not seen[h]:
+                        seen[h] = True
+                        on_tree[g, i] = True
+                        tree.append((g, i, h))
+                        queue.append(h)
             self._tree = (tree, *np.nonzero(~on_tree))
         return self._tree
 
@@ -179,36 +189,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.label or 'order ' + str(self.order)})"
-
-
-def _cayley_layers(G, gens, start):
-    """Breadth-first search of the Cayley graph of G on `gens` (edges
-    g -> g gens[i]), outward from the element set `start`.
-
-    Returns (layers, layer_of, on_tree).  layers[0] is empty, and
-    layers[L] lists the edges (g, i, g gens[i]) that first reach an element
-    of layer L, in the order a queue meets them: by g in the order layer
-    L-1 lists it, then by i.  layer_of[x] is the layer of x, -1 where the
-    search never arrives, and on_tree[g, i] marks the edges the layers list.
-    """
-    reach = G.mul[:, list(gens)].tolist()  # reach[g][i] = g gens[i]
-    layer_of = [-1] * G.order
-    on_tree = np.zeros((G.order, len(gens)), dtype=bool)
-    frontier = [int(x) for x in start]
-    for x in frontier:
-        layer_of[x] = 0
-    layers = [[]]
-    while frontier:
-        layer = []
-        for g in frontier:
-            for i, h in enumerate(reach[g]):
-                if layer_of[h] < 0:
-                    layer_of[h] = len(layers)
-                    on_tree[g, i] = True
-                    layer.append((g, i, h))
-        layers.append(layer)
-        frontier = [h for _, _, h in layer]
-    return layers, np.array(layer_of), on_tree
 
 
 def closure_elements(mul, identity, gens, cap=None):

@@ -27,11 +27,10 @@ from .errors import (
     NotPrime,
     PreconditionFailed,
 )
-from .catalog import a4_shape_spec, beta_shape_spec, cyclic_spec
+from .catalog import a4_shape_spec, cyclic_spec
 from .finab import FinAb, _factorize
 from .groups import (
     SubgroupHandle,
-    _cayley_layers,
     _distinct,
     build_group,
     commutator_subgroup,
@@ -365,100 +364,63 @@ class Classification:
         return self.kind if self.p is None else f"{self.kind}({self.p})"
 
 
-def _prefix_checks(ref, gens, known):
-    """How the search extends a map from K' = `known` to K = <gens>, where
-    K' is generated by all but the last of `gens`.
+def _exceptional_shape(G, H, p, S):
+    """alpha(p) or beta(p) when (G, H) has that exceptional shape, else None.
 
-    Returns (steps, members).  `steps` follows the breadth-first layers of
-    the Cayley graph of K on `gens` outward from K' (`groups._cayley_layers`):
-    step L holds the edges (parent, generator index, child) that first
-    reach layer L, then the other edges of K whose two ends lie in layers
-    <= L, except the edges of K' itself.  `members` lists K.  A map built
-    along the first arrays is a homomorphism on K exactly when it respects
-    the second arrays and was one on K': then it respects every edge of K.
+    Hypotheses (checked by `classify_two_prime_index`): p != 3, S is the
+    normal p-Sylow subgroup, H has trivial core and index 3p.  With C a
+    complement of S, G = S ⋊ C, and C acts on S by conjugation, read off
+    one gather c s c^-1.  For S ≅ F_p^2 that action is a representation
+    C -> GL_2(F_p), and G is determined up to isomorphism by its
+    GL_2(F_p)-conjugacy class.
+
+    alpha(p) holds iff |G| = 3p^2, S is elementary abelian (|S| = p^2, so
+    S is not cyclic) and the generator c of C (|C| = 3) fixes only the
+    identity of S; then |H| = p and H is a line of the plane S.
+      - If: H is a line with trivial core, so c stabilises not every line
+        and is not scalar.  An element of order 3 is semisimple (3 != p);
+        its eigenvalues are cube roots of unity other than 1, as c has no
+        fixed vector, and distinct, as c is not scalar.  So its
+        characteristic polynomial is x^2 + x + 1, all such matrices are
+        conjugate in GL_2(F_p), and G is the group of `a4_shape_spec(p)`.
+        The normaliser N of C in GL_2(F_p) acts on G by the automorphisms
+        (v, c^k) -> (nv, n c^k n^-1), and it is transitive on the lines C
+        does not fix: for p = 1 mod 3, C lies in a split torus whose
+        diagonal matrices carry any line other than the two eigenlines to
+        any other; otherwise F_p[c] = F_{p^2}, whose units are transitive
+        on all p + 1 lines.  So (G, H) is isomorphic to the marked pair,
+        whichever trivial-core line H is.
+      - Only if: the marked pair has these invariants, and they are kept
+        by isomorphisms.
+
+    beta(p), p >= 5, holds iff |G| = 6p^2, C (of order 6) is not cyclic,
+    no non-identity element of C centralises S, and H is cyclic.
+      - C is non-abelian of order 6, so C ≅ S3, acting faithfully on S.
+        Aut of a cyclic group is abelian, so S ≅ F_p^2.  The characteristic
+        is prime to |C|, so the action is semisimple, and the irreducible
+        F_p-representations of S3 are the trivial, the sign and the
+        2-dimensional standard one.  A sum of two characters has A3 in its
+        kernel, so the action is the standard representation, unique up to
+        conjugacy: G is the group of `beta_shape_spec(p)`.
+      - H has order 2p.  Its line L = H ∩ S is normalised by an involution
+        t of H, which acts on S as a transposition of C does, a reflection.
+        So L is the +1 eigenline of t (H cyclic) or the -1 eigenline
+        (H dihedral).  An involution (v, τ) of G has v in the -1 eigenline
+        of τ, which is (1 - τ)S, so it is S-conjugate to τ; and the
+        transpositions of C are conjugate.  So the pairs fall into exactly
+        two classes, cyclic and dihedral.  The marked subgroup of the shape
+        (the diagonal line with the swap) is the cyclic one, Z/2p; the
+        dihedral class has trivial obstruction group.
     """
-    last = len(gens) - 1
-    layers, layer_of, on_tree = _cayley_layers(ref, gens, known)
-    members = np.flatnonzero(layer_of >= 0)
-    src, gen = np.nonzero(~on_tree[members])
-    src = members[src]
-    new = (layer_of[src] > 0) | (gen == last)
-    src, gen = src[new], gen[new]
-    dst = ref.mul[src, np.array(gens)[gen]]
-    stage = np.maximum(layer_of[src], layer_of[dst])
-    steps = []
-    for L, layer in enumerate(layers):
-        at = stage == L
-        if layer or at.any():
-            parent, j, child = np.array(layer, dtype=np.int64).reshape(-1, 3).T
-            steps.append((parent, j, child, src[at], gen[at], dst[at]))
-    return steps, members
-
-
-def _find_isomorphism(ref, G):
-    """A group isomorphism ref -> G by generator-image backtracking, or None.
-
-    Generator i takes its image from the elements of G of its order, in
-    index order.  A node at depth i fixes the images of gens[:i]; the map
-    they define along the breadth-first layers of K_i = <gens[:i]> must
-    respect the other edges of K_i (so it is a homomorphism on K_i) and be
-    injective there, else the node is pruned.  Any isomorphism restricts to
-    such a map on every K_i, so a pruned node has none below it, and the
-    depth-first search returns the same first isomorphism as a search that
-    checks only complete generator tuples.  At depth len(gens), K is ref
-    and the map is a bijective homomorphism.  A node tests all candidate
-    images of its next generator at once, one row per candidate.
-    """
-    if ref.order != G.order:
-        return None
-    gens = list(ref.gens)
-    orders = [ref.element_order(s) for s in gens]
-    pools = [np.flatnonzero(G.element_orders == o) for o in orders]
-    checks, known = [], [ref.identity]
-    for i in range(len(gens)):
-        checks.append(_prefix_checks(ref, gens[: i + 1], known))
-        known = checks[-1][1]
-
-    def extensions(f, images, i):
-        steps, members = checks[i]
-        F = np.repeat(f[None], len(pools[i]), axis=0)
-        imgs = np.repeat(images[None], len(pools[i]), axis=0)
-        imgs[:, i] = pools[i]
-        for parent, j, child, src, gen, dst in steps:
-            F[:, child] = G.mul[F[:, parent], imgs[:, j]]
-            ok = (F[:, dst] == G.mul[F[:, src], imgs[:, gen]]).all(axis=1)
-            F, imgs = F[ok], imgs[ok]
-        injective = (np.diff(np.sort(F[:, members], axis=1), axis=1) != 0).all(axis=1)
-        return F[injective], imgs[injective]
-
-    def backtrack(f, images, i):
-        if i == len(gens):
-            return f.tolist()
-        for g, imgs in zip(*extensions(f, images, i)):
-            result = backtrack(g, imgs, i + 1)
-            if result is not None:
-                return result
-        return None
-
-    f = np.full(ref.order, G.identity, dtype=np.int64)
-    return backtrack(f, np.zeros(len(gens), dtype=np.int64), 0)
-
-
-def _matches_pattern(G, H, spec, ref_subgroup_fn):
-    """Does (G, H) match the reference shape with H carried to the marked
-    subgroup (up to conjugacy)?"""
-    ref = build_group(spec)
-    if ref.order != G.order:
-        return False
-    iso = _find_isomorphism(ref, G)
-    if iso is None:
-        return False
-    href = ref_subgroup_fn(ref)
-    image = SubgroupHandle(G, tuple(sorted(iso[x] for x in href.elements)))
-    if image.order != H.order:
-        return False
-    conjugates = np.sort(image.conjugates(), axis=1)
-    return bool((conjugates == np.array(H.elements)).all(axis=1).any())
+    C = complement(G, S)
+    c, s = np.array(C.elements), np.array(S.elements)
+    fixed = (G.mul[G.mul[np.ix_(c, s)], G.inv[c][:, None]] == s).sum(axis=1)
+    if G.order == 3 * p * p and not S.is_cyclic and (fixed > 1).sum() == 1:
+        return Classification("alpha", p)
+    if p >= 5 and G.order == 6 * p * p and not C.is_cyclic:
+        if (fixed == S.order).sum() == 1 and H.is_cyclic:
+            return Classification("beta", p)
+    return None
 
 
 def classify_two_prime_index(G, H):
@@ -466,9 +428,9 @@ def classify_two_prime_index(G, H):
 
     For (G:H) = p*l with distinct primes and a normal p-Sylow subgroup:
     certifies the principle holds when p > 2 = l or l does not divide
-    p^2 - 1; for l = 3 it pattern-matches the two exceptional shapes by
-    bounded isomorphism search.  Degrees outside the classified territory
-    raise rather than guess.
+    p^2 - 1; for l = 3 it recognises the two exceptional shapes from the
+    complement's action on the Sylow subgroup (`_exceptional_shape`).
+    Degrees outside the classified territory raise rather than guess.
     """
     _validate_subgroup(G, H)
     index = H.index
@@ -493,21 +455,8 @@ def classify_two_prime_index(G, H):
     for p, ell in assignments:
         if ell == 3 and p != 3:
             if G.order > 200:
-                raise HypothesisViolated("isomorphism search is bounded to order 200")
-            if _matches_pattern(
-                G, H, a4_shape_spec(p), lambda ref: subgroup_closure(ref, [1])
-            ):
-                return Classification("alpha", p)
-            if p >= 5 and _matches_pattern(
-                G,
-                H,
-                beta_shape_spec(p),
-                # the marked subgroup: diagonal line in the plane, joined
-                # with the transposition generator of the acting group
-                lambda ref: subgroup_closure(ref, [1 + p, ref.gens[3]]),
-            ):
-                return Classification("beta", p)
-            return Classification("hnp_holds")
+                raise HypothesisViolated("exceptional shapes are classified up to order 200")
+            return _exceptional_shape(G, H, p, sylows[p]) or Classification("hnp_holds")
     raise HypothesisViolated("degree outside the classified two-prime territory")
 
 

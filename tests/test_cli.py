@@ -183,6 +183,24 @@ def test_classify_verb(capsys):
     assert report["results"]["display"] == "alpha(2)"
 
 
+def test_classify_every_trivial_core_line_of_alpha5(capsys):
+    # "1" and "7" generate lines of the plane in the two conjugacy classes of
+    # trivial-core lines; both pairs have obstruction group Z/5
+    alpha5 = json.dumps(a4_shape_spec(5))
+    for line in ("1", "7"):
+        code, report = run_capture(capsys, ["classify", "--group", alpha5, "--subgroup", line])
+        assert code == EXIT_OK
+        assert report["results"]["display"] == "alpha(5)"
+
+
+def test_classify_keeps_order_bound(capsys):
+    code, report = run_capture(
+        capsys, ["classify", "--group", json.dumps(a4_shape_spec(11)), "--subgroup", "1"]
+    )
+    assert code == EXIT_HYPOTHESIS
+    assert report["error"]["type"] == "HypothesisViolated"
+
+
 def test_witness_verb(capsys):
     code, report = run_capture(capsys, ["witness", "--p", "2", "--variant", "i"])
     assert code == EXIT_OK

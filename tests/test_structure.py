@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -8,12 +9,14 @@ from normone.catalog import (
     abelian_spec,
     beta_shape_spec,
     catalog_group,
+    catalog_names,
     cyclic_spec,
 )
 from normone.cohomology import sha
 from normone.errors import CertificateUnavailable, HypothesisViolated, PreconditionFailed
-from normone.finab import FinAb
+from normone.finab import FinAb, _factorize
 from normone.groups import (
+    SubgroupHandle,
     all_subgroups,
     build_group,
     full_subgroup,
@@ -24,6 +27,7 @@ from normone.groups import (
 from normone.lattices import j_lattice
 from normone.reps import build_semidirect, s3_standard_rep, witness_rep
 from normone.structure import (
+    Classification,
     annihilator_bound,
     classify_two_prime_index,
     composite_sha_witness,
@@ -34,7 +38,7 @@ from normone.structure import (
     sha_p_part,
     sha_prime_index_family,
     sha_prime_to_p,
-    _find_isomorphism,
+    _exceptional_shape,
     _p_restriction_check,
 )
 
@@ -375,10 +379,11 @@ def _extend_from_generators(G, images, compose, identity_image):
 
 
 def _leaf_only_isomorphism(ref, G):
-    """The isomorphism search checked only at complete generator tuples: the
-    pools of `_find_isomorphism` in the same order, pruned by the orders of
-    pairwise products, then `_extend_from_generators` and a bijection test
-    at each leaf."""
+    """The first isomorphism ref -> G, or None, by a search checked only at
+    complete generator tuples: generator i takes its image from the elements
+    of G of its order, in index order, pruned by the orders of pairwise
+    products, then `_extend_from_generators` and a bijection test at each
+    leaf.  The test-side oracle for "G is isomorphic to a shape"."""
     if ref.order != G.order:
         return None
     gens = list(ref.gens)
@@ -442,13 +447,101 @@ _SEARCH_PAIRS = {
 }
 
 
+def _marked_subgroup(ref, kind, p):
+    """The shape's marked subgroup: a line of the plane, for beta the
+    diagonal line joined with the transposition generator of S3."""
+    return subgroup_closure(ref, [1] if kind == "alpha" else [1 + p, ref.gens[3]])
+
+
 @pytest.mark.parametrize("name", list(_SEARCH_PAIRS))
 def test_isomorphism_search_matches_leaf_only_search(name):
+    """The leaf-only search finds an isomorphism exactly for the pairs named
+    without a slash, and on every reference pair the recogniser gives the
+    oracle's answer: the shape on the marked subgroup and on its image, and
+    nothing on any subgroup of that order of a group that is not the shape."""
     make_ref, make_G = _SEARCH_PAIRS[name]
     ref, G = make_ref(), make_G()
-    expected = _leaf_only_isomorphism(ref, G)
-    assert _find_isomorphism(ref, G) == expected
-    assert (expected is None) == ("/" in name)
+    iso = _leaf_only_isomorphism(ref, G)
+    assert (iso is None) == ("/" in name)
+    shape = re.fullmatch(r"(alpha|beta)(\d+)", name.split("/")[0])
+    if shape is None:
+        return
+    kind, p = shape[1], int(shape[2])
+    expected = Classification(kind, p)
+    href = _marked_subgroup(ref, kind, p)
+    assert _exceptional_shape(ref, href, p, sylow_subgroup(ref, p)) == expected
+    S = sylow_subgroup(G, p)
+    if iso is not None:
+        image = SubgroupHandle(G, [iso[x] for x in href.elements])
+        assert _exceptional_shape(G, image, p, S) == expected
+    else:
+        same_order = [e for e in groups.subgroup_classes(G, href.order)[2] if len(e) == href.order]
+        assert same_order
+        for elems in same_order:
+            assert _exceptional_shape(G, SubgroupHandle(G, elems), p, S) is None
+
+
+def _plane_by_z3(p, a, b):
+    """F_p^2 ⋊ Z3, the generator acting by diag(a, b)."""
+    return {"kind": "semidirect", "p": p, "m": 2, "matrices": [[[a, 0], [0, b]]],
+            "acting": cyclic_spec(3), "label": f"F{p}^2:diag({a},{b})"}
+
+
+def _two_prime_index_classes(G, divisor=None):
+    """Subgroup classes of G of squarefree two-prime index with trivial core."""
+    for elems in groups.subgroup_classes(G, divisor)[0]:
+        H = SubgroupHandle(G, elems)
+        if sorted(_factorize(H.index).values()) == [1, 1] and groups.core(G, H).order == 1:
+            yield H
+
+
+def test_classify_agrees_with_brute_sha_on_every_class():
+    """Every trivial-core class of squarefree two-prime index: `hnp_holds`
+    exactly when brute-force Sha is 0, and Sha = Z/p for alpha(p), beta(p).
+    The alpha shapes at p = 5 and 7, and diag(2, 4) (= diag(ω, ω²)) at 7,
+    have two classes of trivial-core lines, both with Sha = Z/p; diag(2, 1)
+    fixes a line and has Sha = 0 on both of its classes."""
+    survey = [catalog_group(name) for name in catalog_names()]
+    survey += [build_group(a4_shape_spec(p)) for p in (2, 5, 7)]
+    survey += [build_group(beta_shape_spec(5))]
+    survey += [build_group(_plane_by_z3(7, 2, 1)), build_group(_plane_by_z3(7, 2, 4))]
+    answered, wrong = 0, []
+    for G in survey:
+        for H in _two_prime_index_classes(G):
+            try:
+                c = classify_two_prime_index(G, H)
+            except HypothesisViolated:
+                continue
+            answered += 1
+            J, _ = j_lattice(G, [(H, 1)])
+            value = sha(G, J, []).structure
+            if value != (FinAb.trivial() if c.kind == "hnp_holds" else FinAb.cyclic(c.p)):
+                wrong.append((G.label, H.elements[:3], str(c), value))
+    assert answered == 14
+    assert wrong == []
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (a4_shape_spec(11), ["alpha(11)"] * 4),  # (p + 1) / 3 classes of lines
+        (beta_shape_spec(7), ["None", "beta(7)"]),  # dihedral, cyclic
+    ],
+    ids=["alpha11", "beta7"],
+)
+def test_exceptional_shape_matches_theorem_path_past_classify_bound(spec, expected):
+    """`classify` refuses these orders (363 and 294), so the recogniser is
+    called directly on every trivial-core class of index 3p."""
+    G, p = build_group(spec), spec["p"]
+    S = sylow_subgroup(G, p)
+    shapes = []
+    for H in _two_prime_index_classes(G, G.order // (3 * p)):
+        if H.index == 3 * p:
+            shape = _exceptional_shape(G, H, p, S)
+            theorem = sha_full(G, H, p, method="theorem").result
+            assert theorem == (FinAb.trivial() if shape is None else FinAb.cyclic(p))
+            shapes.append(str(shape))
+    assert sorted(shapes) == expected
 
 
 def test_classify_coprime_certificate():
