@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, EmptyFamily, GroupMismatch, NotCyclic
 from .finab import FinAb
-from .groups import abelianization, cyclic_subgroups
+from .groups import abelianization, cyclic_subgroup_elements, cyclic_subgroups
 from .lattices import restrict
 from . import intmat
 
@@ -311,27 +311,41 @@ def tate_cyclic(D, M, j):
 class ShaGroup:
     """Kernel of total restriction on H^2 against a closed family of subgroups."""
 
-    __slots__ = ("base", "dset_raw", "dset_closed", "structure", "generators")
+    __slots__ = ("base", "dset_raw", "structure", "generators")
 
-    def __init__(self, base, dset_raw, dset_closed, structure, generators):
+    def __init__(self, base, dset_raw, structure, generators):
         self.base = base
         self.dset_raw = list(dset_raw)
-        self.dset_closed = list(dset_closed)
         self.structure = structure
         self.generators = list(generators)
+
+    @property
+    def dset_closed(self):
+        """The closed dset as subgroup handles (`close_dset`), built on access."""
+        return close_dset(self.base.group, self.dset_raw)
 
     def __repr__(self):
         return f"Sha^2 = {self.structure}"
 
 
+def dset_members(G, dset):
+    """The dset as a list, after checking that every member lives in G."""
+    dset = list(dset)
+    if any(h.parent is not G for h in dset):
+        raise GroupMismatch("dset member lives in a different group")
+    return dset
+
+
 def close_dset(G, dset):
     """Augment a family of subgroups with all cyclic subgroups, dedupe, sort."""
-    seen = {}
-    for h in (*dset, *cyclic_subgroups(G)):
-        if h.parent is not G:
-            raise GroupMismatch("dset member lives in a different group")
-        seen[h.elements] = h
+    seen = {h.elements: h for h in (*dset_members(G, dset), *cyclic_subgroups(G))}
     return sorted(seen.values(), key=lambda h: (h.order, h.elements))
+
+
+def closed_dset_elements(G, dset):
+    """The element tuples of `close_dset(G, dset)`, without a handle per cyclic subgroup."""
+    closed = {*(h.elements for h in dset_members(G, dset)), *cyclic_subgroup_elements(G)}
+    return sorted(closed, key=lambda e: (len(e), e))
 
 
 def _restriction_members(G, dset):
@@ -357,7 +371,7 @@ def _restriction_members(G, dset):
     for h in sorted(canon.values(), key=lambda h: (-h.order, h.elements)):
         # drop h if a conjugate of it lies in a kept member
         conjugates = h.conjugates()
-        if not any(np.isin(conjugates, k.elements).all(axis=1).any() for k in kept):
+        if not any(k.mask[conjugates].all(axis=1).any() for k in kept):
             kept.append(h)
     orders, powers = G.element_orders, G.powers
     proper = np.zeros(G.order, dtype=bool)  # powers of elements of larger order
@@ -429,11 +443,10 @@ def sha(G, M, dset, budget=DEFAULT_COCHAIN_BUDGET):
     orders of the H^2 generators is Sha.
     """
     base = cohomology(G, M, 2, budget)
-    raw = list(dset)
-    closed = close_dset(G, raw)
+    raw = dset_members(G, dset)
     orders = list(base.structure.factors)
     if not orders:
-        return ShaGroup(base, raw, closed, FinAb.trivial(), [])
+        return ShaGroup(base, raw, FinAb.trivial(), [])
     lattice = _restriction_lattice(G, M, base, raw)
     qorders, qgens = intmat.quotient_group(lattice, np.diag(np.array(orders, dtype=object)))
     structure = FinAb.from_factors(qorders)
@@ -444,7 +457,7 @@ def sha(G, M, dset, budget=DEFAULT_COCHAIN_BUDGET):
             a = int(a) % d  # d * [gen] vanishes, so reduce for small entries
             c = c + a * np.array(gen, dtype=object)
         gens.append(c)
-    return ShaGroup(base, raw, closed, structure, gens)
+    return ShaGroup(base, raw, structure, gens)
 
 
 def h1_character_kernel(G, pairs):

@@ -73,7 +73,7 @@ class FiniteGroup:
 
     __slots__ = (
         "order", "mul", "inv", "identity", "label", "gens",
-        "_orders", "_powers", "_tree", "_cyclic",
+        "_orders", "_powers", "_tree", "_cyclic", "_cyclic_handles",
     )
 
     def __init__(self, mul, identity, label="", gens=None, validate=True):
@@ -87,7 +87,7 @@ class FiniteGroup:
         self._orders = None
         self._powers = None
         self._tree = None
-        self._cyclic = None
+        self._cyclic = self._cyclic_handles = None
         hits = mul == self.identity
         bad = np.flatnonzero(hits.sum(axis=1) != 1)
         if bad.size:
@@ -217,7 +217,7 @@ def closure_elements(mul, identity, gens, cap=None):
 class SubgroupHandle:
     """A subgroup of a parent group as a strictly sorted element set."""
 
-    __slots__ = ("parent", "elements", "_set", "_cache")
+    __slots__ = ("parent", "elements", "mask", "_set", "_cache")
 
     def __init__(self, parent, elements):
         self.parent = parent
@@ -236,6 +236,7 @@ class SubgroupHandle:
         if not mask[parent.mul[idx[:, None], idx]].all():
             raise SpecInvalid("subgroup is not closed under multiplication")
         self.elements = elems
+        self.mask = mask  # membership of each element of the parent
         self._set = frozenset(elems)
         self._cache = {}
 
@@ -271,7 +272,7 @@ class SubgroupHandle:
     @property
     def is_normal(self):
         if "normal" not in self._cache:
-            self._cache["normal"] = bool(np.isin(self.conjugates(), self.elements).all())
+            self._cache["normal"] = bool(self.mask[self.conjugates()].all())
         return self._cache["normal"]
 
     @property
@@ -344,16 +345,26 @@ def _power_table(G):
     return np.stack(powers, axis=1)
 
 
-def cyclic_subgroups(G):
-    """All cyclic subgroups of G, trivial subgroup included, deduplicated,
-    as a tuple sorted by (order, elements); computed once per group."""
+def cyclic_subgroup_elements(G):
+    """The element tuples of all cyclic subgroups of G, trivial subgroup
+    included, sorted by (order, elements); computed once per group."""
     if G._cyclic is None:
         orders, powers = G.element_orders, G.powers
         # <g> is named by its least element of the same order as g
-        gens = np.where(orders[powers] == orders[:, None], powers, G.order).min(axis=1)
-        out = [SubgroupHandle(G, _distinct(powers[g]).tolist()) for g in _distinct(gens)]
-        G._cyclic = tuple(sorted(out, key=lambda h: (h.order, h.elements)))
+        gens = _distinct(np.where(orders[powers] == orders[:, None], powers, G.order).min(axis=1))
+        out = []
+        for m in _distinct(orders[gens]).tolist():
+            rows = np.sort(powers[gens[orders[gens] == m], :m], axis=1)  # columns < m: <g>
+            out += sorted(map(tuple, rows.tolist()))
+        G._cyclic = tuple(out)
     return G._cyclic
+
+
+def cyclic_subgroups(G):
+    """`cyclic_subgroup_elements(G)` as subgroup handles, built once per group."""
+    if G._cyclic_handles is None:
+        G._cyclic_handles = tuple(SubgroupHandle(G, e) for e in cyclic_subgroup_elements(G))
+    return G._cyclic_handles
 
 
 def _grow_subgroup(G, divisor):
@@ -415,9 +426,7 @@ def core(G, H):
 def normalizer_centralizer(G, H):
     """(N_G(H), Z_G(H)); the centralizer is contained in the normalizer."""
     h = np.array(H.elements, dtype=np.int64)
-    mask = np.zeros(G.order, dtype=bool)
-    mask[h] = True
-    norm = mask[H.conjugates()].all(axis=1)
+    norm = H.mask[H.conjugates()].all(axis=1)
     cent = (G.mul[:, h] == G.mul[h, :].T).all(axis=1)  # g x = x g for all x in H
     return (
         SubgroupHandle(G, np.flatnonzero(norm).tolist()),

@@ -41,7 +41,7 @@ from .groups import (
     subgroup_closure,
     sylow_subgroup,
 )
-from .cohomology import DEFAULT_COCHAIN_BUDGET, close_dset, sha
+from .cohomology import DEFAULT_COCHAIN_BUDGET, closed_dset_elements, dset_members, sha
 from .lattices import j_lattice, restrict
 
 
@@ -78,10 +78,7 @@ def sha_prime_index_family(G, pairs):
         for j, Hj in enumerate(subs):
             if i != j and Hj.contains_subgroup(Hi):
                 raise HypothesisViolated("no subgroup may contain another")
-    inter = set(subs[0].elements)
-    for H in subs[1:]:
-        inter &= set(H.elements)
-    index = G.order // len(inter)
+    index = G.order // int(np.all([H.mask for H in subs], axis=0).sum())  # (G : N)
     m = _factorize(index).get(p, 0)
     if p**m != index:  # G/N embeds in (Z/p)^r, so this cannot fail
         raise HypothesisViolated("intersection index is not a power of the prime")
@@ -172,11 +169,12 @@ def sha_p_part(G, H, p, dset=()):
     """The p-primary part: Z/p exactly when all three criteria hold and no
     member of the closed dset contains the Sylow subgroup; else trivial."""
     conds = p_part_conditions(G, H, p)
-    return _p_part(int(p), conds, conds.sylow, close_dset(G, list(dset)))
+    return _p_part(int(p), conds, conds.sylow, dset_members(G, dset))
 
 
-def _p_part(p, conds, S, closed):
-    if conds.all_abc and not any(D.contains_subgroup(S) for D in closed):
+def _p_part(p, conds, S, dset):
+    """Under all_abc S ≅ (Z/p)^2 is not cyclic, so no added (cyclic) member contains it."""
+    if conds.all_abc and not any(D.contains_subgroup(S) for D in dset):
         return FinAb.cyclic(p)
     return FinAb.trivial()
 
@@ -190,16 +188,17 @@ def sha_prime_to_p(G, H, p, dset=(), budget=DEFAULT_COCHAIN_BUDGET):
     subgroups only.  Raises CertificateUnavailable otherwise.
     """
     conds = p_part_conditions(G, H, p)  # validates the shared prerequisites
-    return _prime_to_p(G, H, conds.sylow, close_dset(G, list(dset)), budget)
+    return _prime_to_p(G, H, conds.sylow, dset_members(G, dset), budget)
 
 
-def _prime_to_p(G, H, S, closed, budget):
+def _prime_to_p(G, H, S, dset, budget):
     """Sha of the complement pair (G', H') by brute force: G' is a complement
     of S, and H' = G' ∩ SH, so that SH = S ⋊ H' and |H'| = |H|/|S∩H|.
-    S is normal, so SH is the set of products s h."""
+    S is normal, so SH is the set of products s h.  The closed dset adds
+    only cyclic members, so it is all cyclic iff the user's members are."""
     SH = SubgroupHandle(G, _distinct(G.mul[np.ix_(S.elements, H.elements)]).tolist())
     cert_prime = is_prime(SH.index)
-    cert_cyclic = all(D.is_cyclic for D in closed)
+    cert_cyclic = all(D.is_cyclic for D in dset)
     if not (cert_prime or cert_cyclic):
         raise CertificateUnavailable(
             "no certificate that the dset kernel matches the all-cyclic kernel"
@@ -257,7 +256,6 @@ def sha_full(G, H, p, dset=(), method="both", budget=DEFAULT_COCHAIN_BUDGET):
     if G.order % p:
         raise HypothesisViolated(f"{p} does not divide the group order {G.order}")
     raw = list(dset)
-    closed = close_dset(G, raw)
     report = ShaReport(
         group_label=G.label,
         group_order=G.order,
@@ -265,7 +263,7 @@ def sha_full(G, H, p, dset=(), method="both", budget=DEFAULT_COCHAIN_BUDGET):
         p=p,
         method=method,
         dset_raw=[d.elements for d in raw],
-        dset_closed=[d.elements for d in closed],
+        dset_closed=closed_dset_elements(G, raw),
     )
 
     theorem_result = None
@@ -274,8 +272,8 @@ def sha_full(G, H, p, dset=(), method="both", budget=DEFAULT_COCHAIN_BUDGET):
         try:
             report.conditions = p_part_conditions(G, H, p)
             S = report.conditions.sylow
-            ppart = _p_part(p, report.conditions, S, closed)
-            theorem_result = ppart + _prime_to_p(G, H, S, closed, budget)
+            ppart = _p_part(p, report.conditions, S, raw)
+            theorem_result = ppart + _prime_to_p(G, H, S, raw, budget)
             report.theorem_result = theorem_result
         except (HypothesisViolated, CertificateUnavailable) as exc:
             if method == "theorem":

@@ -269,7 +269,7 @@ def sha(G, M, dset, base=None):
     orders = list(base.structure.factors)
     kcount = len(orders)
     if kcount == 0:
-        return ShaGroup(base, raw, closed, FinAb.trivial(), [])
+        return ShaGroup(base, raw, FinAb.trivial(), [])
 
     lam0 = np.zeros((kcount, kcount), dtype=object)
     for i, d in enumerate(orders):
@@ -308,7 +308,7 @@ def sha(G, M, dset, base=None):
             a = int(a) % d  # d * [gen] vanishes, so reduce for small entries
             c = c + a * np.array(gen, dtype=object)
         gens.append(c)
-    return ShaGroup(base, raw, closed, structure, gens)
+    return ShaGroup(base, raw, structure, gens)
 
 
 def restriction_lattice(G, M, base, dset):

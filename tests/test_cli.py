@@ -20,9 +20,18 @@ from normone.cli import (
     resolve_subgroup,
     run,
 )
-from normone.catalog import a4_shape_spec, abelian_spec, cyclic_spec, symmetric3_spec
+from normone.catalog import (
+    a4_shape_spec,
+    abelian_spec,
+    catalog_group,
+    catalog_names,
+    cyclic_spec,
+    symmetric3_spec,
+)
+from normone.cohomology import close_dset, closed_dset_elements
 from normone.errors import ParseError, SchemaError
 from normone.groups import build_group
+from normone.structure import sha_full
 
 
 A4_JSON = json.dumps(a4_shape_spec(2))
@@ -100,6 +109,37 @@ def test_sha_verb_with_sylow_dset(capsys):
     assert code == EXIT_OK
     assert report["results"]["result"] == []
     assert report["results"]["dset_raw"] == [[0, 1, 2, 3]]
+
+
+_PERMUTATION_SPECS = {
+    "D6": {"kind": "permutations", "degree": 6, "generators": ["(1 2 3 4 5 6)", "(1 6)(2 5)(3 4)"]},
+    "S4": {"kind": "permutations", "degree": 4, "generators": ["(1 2 3 4)", "(1 2)"]},
+    "A5": {"kind": "permutations", "degree": 5, "generators": ["(1 2 3 4 5)", "(1 2 3)"]},
+}
+
+
+@pytest.mark.parametrize("name", catalog_names() + list(_PERMUTATION_SPECS))
+@pytest.mark.parametrize("dset", ["none", "sylow:2", "sylow:3"])
+def test_reported_closed_dset_matches_close_dset(capsys, name, dset):
+    # the report's closed dset is read from element data; close_dset builds
+    # the same family as handles
+    spec = _PERMUTATION_SPECS.get(name)
+    if spec is None:
+        G = catalog_group(name)
+        spec = {"kind": "table", "n": G.order, "mul": G.mul.tolist()}
+    G = build_group(spec)
+    dset = "" if dset == "none" else dset
+    raw = [resolve_subgroup(G, dset)] if dset else []
+    want = [h.elements for h in close_dset(G, raw)]
+    assert closed_dset_elements(G, raw) == want
+    if G.order == 1:
+        return  # no prime divides the order: there is no sha query
+    p = next(q for q in range(2, G.order + 1) if G.order % q == 0)
+    assert sha_full(G, resolve_subgroup(G, "all"), p, raw, method="brute").dset_closed == want
+    code, report = run_capture(capsys, ["sha", "--group", json.dumps(spec), "--subgroup", "all",
+                                        "--p", str(p), "--dset", dset, "--method", "brute"])
+    assert code == EXIT_OK
+    assert report["results"]["dset_closed"] == [list(e) for e in want]
 
 
 def test_sha_verb_hypothesis_exit(capsys):

@@ -29,6 +29,7 @@ from normone.groups import (
     commutator_subgroup,
     complement,
     core,
+    cyclic_subgroup_elements,
     cyclic_subgroups,
     double_cosets,
     full_subgroup,
@@ -347,6 +348,30 @@ def test_subgroup_search_matches_queue_over_all_subgroups(name):
         assert len(classes) <= seen <= sum(d % h.order == 0 for h in reference)
         # the third value is every subgroup of order dividing d
         assert subgroups == {h.elements for h in reference if d % h.order == 0}, (name, d)
+
+
+@pytest.mark.parametrize("name", catalog_names() + list(_SEARCH_GROUPS))
+def test_cyclic_subgroup_elements_match_per_generator_route(name):
+    # reference: one subgroup per least generator, its elements from that
+    # generator's whole power-table row
+    spec = _SEARCH_GROUPS.get(name)
+    G = catalog_group(name) if spec is None else build_group(spec)
+    orders, powers = G.element_orders, G.powers
+    gens = np.where(orders[powers] == orders[:, None], powers, G.order).min(axis=1)
+    route = [tuple(groups._distinct(powers[g]).tolist()) for g in groups._distinct(gens)]
+    want = sorted(route, key=lambda e: (len(e), e))
+    assert cyclic_subgroup_elements(G) == tuple(want)
+    assert cyclic_subgroup_elements(G) is cyclic_subgroup_elements(G)
+    assert [h.elements for h in cyclic_subgroups(G)] == want
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["S4", "A5"])
+def test_is_normal_matches_conjugate_sets(name):
+    spec = _SEARCH_GROUPS.get(name)
+    G = catalog_group(name) if spec is None else build_group(spec)
+    for H in all_subgroups(G):
+        conjugate_sets = {frozenset(G.conj(g, x) for x in H.elements) for g in G.elements()}
+        assert H.is_normal == (conjugate_sets == {frozenset(H.elements)}), (name, H.elements)
 
 
 def test_subgroup_classes_conjugates_each_class_once(monkeypatch):

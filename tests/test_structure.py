@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from normone import groups, structure
+from normone import cohomology, groups, structure
 from normone.catalog import (
     a4_shape_spec,
     abelian_spec,
@@ -13,7 +13,12 @@ from normone.catalog import (
     cyclic_spec,
 )
 from normone.cohomology import sha
-from normone.errors import CertificateUnavailable, HypothesisViolated, PreconditionFailed
+from normone.errors import (
+    CertificateUnavailable,
+    GroupMismatch,
+    HypothesisViolated,
+    PreconditionFailed,
+)
 from normone.finab import FinAb, _factorize
 from normone.groups import (
     SubgroupHandle,
@@ -193,6 +198,8 @@ def test_prime_to_p_certificate_gate():
     S2 = sylow_subgroup(Gw, 2)
     with pytest.raises(CertificateUnavailable):
         sha_prime_to_p(Gw, Hw, 2, [S2])
+    with pytest.raises(CertificateUnavailable):
+        sha_full(Gw, Hw, 2, [S2], method="theorem")
 
 
 # -- assembled evaluation ----------------------------------------------------------------
@@ -222,18 +229,55 @@ def test_sha_full_evaluates_hypotheses_once(monkeypatch):
         monkeypatch.setattr(structure, name, wrapper)
 
     counted("p_part_conditions")
-    counted("close_dset")
+    counted("closed_dset_elements")
     counted("sylow_subgroup")
     G = a4()
     H = subgroup_closure(G, [1])
     rep = sha_full(G, H, 2, [sylow_subgroup(G, 2)], method="theorem")
     assert rep.theorem_result.is_trivial()
-    assert calls == {"p_part_conditions": 1, "close_dset": 1, "sylow_subgroup": 1}
+    assert calls == {"p_part_conditions": 1, "closed_dset_elements": 1, "sylow_subgroup": 1}
+
+
+@pytest.mark.parametrize("dset", ["none", "sylow:2"])
+def test_sha_full_builds_no_cyclic_subgroup_handles(monkeypatch, dset):
+    # the closed family is report-only element data: neither path builds it
+    # as handles, one per cyclic subgroup
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    for module in (groups, cohomology, structure):
+        for name in ("cyclic_subgroups", "close_dset"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    G = a4()
+    H = subgroup_closure(G, [1])
+    raw = [] if dset == "none" else [sylow_subgroup(G, 2)]
+    rep = sha_full(G, H, 2, raw, method="both")
+    assert rep.agreement is True
+    assert calls == []
+
+
+def test_foreign_dset_member_is_refused():
+    G, other = a4(), a4()
+    H = subgroup_closure(G, [1])
+    foreign = [sylow_subgroup(other, 2)]
+    lat, _ = j_lattice(G, [(H, 1)])
+    with pytest.raises(GroupMismatch):
+        sha(G, lat, foreign)
+    for method in ("theorem", "brute", "both"):
+        with pytest.raises(GroupMismatch):
+            sha_full(G, H, 2, foreign, method=method)
+    with pytest.raises(GroupMismatch):
+        sha_p_part(G, H, 2, foreign)
+    with pytest.raises(GroupMismatch):
+        sha_prime_to_p(G, H, 2, foreign)
 
 
 def test_sha_full_both_finds_cyclic_subgroups_once(monkeypatch):
-    # both paths close the dset over the same cyclic subgroups: one power
-    # table per group, not one per path
+    # the report's closed dset and the brute path's restriction members
+    # read one power table per group, not one per path
     calls = []
     power_table = groups._power_table
     monkeypatch.setattr(groups, "_power_table", lambda G: calls.append(G) or power_table(G))
