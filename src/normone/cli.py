@@ -47,6 +47,8 @@ EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
 EXIT_BUDGET = 2
 EXIT_PARSE = 3
+# the most rows a `dset` table may have: each costs about 11 us and 170 B of JSON
+DSET_MAX_ROWS = 10_000
 
 
 def load_group_spec(source):
@@ -256,6 +258,11 @@ def _membership_json(m):
 
 def cmd_dset(args):
     inputs = {"p": args.p, "max": args.max}
+    if args.max > DSET_MAX_ROWS:
+        raise BudgetExceeded(
+            f"dset table of {args.max} rows exceeds the budget of {DSET_MAX_ROWS}",
+            sizes={"rows": args.max, "budget": DSET_MAX_ROWS},
+        )
     rows = [_membership_json(d_membership(d, args.p)) for d in range(1, args.max + 1)]
     results = {"table": rows, "s_min": s_min(args.p)}
     return _report("dset", inputs, results)
@@ -371,6 +378,10 @@ def run(argv):
             value = getattr(args, name, None)
             if value is not None and not _is_int(value, 1):
                 raise SchemaError(f"--{name} must lie in [1, 2^63), got {value}")
+        for name in ("max", "max_subgroups"):  # sizes; their budgets bound them above
+            value = getattr(args, name, None)
+            if value is not None and value < 1:
+                raise SchemaError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
         out = handlers[args.verb](args)
         if isinstance(out, tuple):
             report, code = out

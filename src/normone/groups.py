@@ -7,12 +7,16 @@ conjugates, cores, normalizers, centralizers, commutators, cyclic
 subgroups) are whole-table numpy gathers over `mul` and `inv`, such as
 `mul[mul[:, H], inv[:, None]]` for all conjugates of H at once.  One
 saturation search, `subgroup_classes`, enumerates subgroups up to
-conjugacy with one closure per double coset R y R of each representative R
-(<R, s y^k s'> = <R, y> for s, s' in R and k prime to the order of y) and
-one conjugation pass per class: the set of the conjugates of the classes
-found so far tells whether a subgroup starts a new class, and at the end
-it holds every subgroup, which `all_subgroups` and the GL_2 scan of `reps`
-read.  One greedy growth, `_grow_subgroup`, finds a subgroup maximal among
+conjugacy with one join per double coset R y R of each nontrivial
+representative R (<R, s y^k s'> = <R, y> for s, s' in R and k prime to the
+order of y; the trivial R's joins are the cyclic subgroups, found first).
+A join grows from R: it is the subgroup R<y> when y normalises R, else a
+closure seeded with R and R y, closed under every generator.  One
+conjugation pass per class gives N(R) and one conjugate per coset g N(R)
+(g R g^-1 depends only on that coset): the set of the conjugates of the
+classes found so far tells whether a subgroup starts a new class, and at
+the end it holds every subgroup, which `all_subgroups` and the GL_2 scan
+of `reps` read.  One greedy growth, `_grow_subgroup`, finds a subgroup maximal among
 those of order dividing a given number: a Sylow subgroup, or a complement
 of a normal Sylow subgroup.  All values are immutable after construction
 and the operations are pure functions; deterministic tie-breaking (least
@@ -128,7 +132,7 @@ class FiniteGroup:
         while len(current) < self.order:
             g = min(x for x in range(self.order) if x not in current)
             gens.append(g)
-            current = set(closure_elements(self.mul, self.identity, gens))
+            current = set(closure_elements(self.mul, self.identity, gens, start=current))
         return gens
 
     def conj(self, g, x):
@@ -191,26 +195,32 @@ class FiniteGroup:
         return f"FiniteGroup({self.label or 'order ' + str(self.order)})"
 
 
-def closure_elements(mul, identity, gens, cap=None):
+def closure_elements(mul, identity, gens, cap=None, start=None):
     """Sorted tuple of the subgroup generated by gens.
 
-    With a cap, raises OrderBudgetExceeded as soon as the closure grows
-    past it (used to abort doomed searches early).
+    With `start`, the subgroup generated by all of gens but the last, y,
+    the search grows from start, multiplying it by y only: what it finds
+    lies in the subgroup and is closed under right multiplication by every
+    generator, so it is the subgroup.  With a cap, raises
+    OrderBudgetExceeded as soon as the closure grows past it (used to abort
+    doomed searches early).
     """
-    seen = {int(identity)}
-    frontier = [int(identity)]
-    gens = [int(g) for g in gens]
+    # one entry at a time: listing whole columns would cost O(|G|) per call
+    item, gens = mul.item, [int(g) for g in gens]
+    limit = len(mul) if cap is None else cap
+    seen = {int(identity)} if start is None else set(start)
+    frontier, step = list(seen), gens if start is None else gens[-1:]
     while frontier:
         nxt = []
         for x in frontier:
-            for s in gens:
-                y = int(mul[x, s])
+            for s in step:
+                y = item(x, s)
                 if y not in seen:
-                    if cap is not None and len(seen) >= cap:
+                    if len(seen) >= limit:
                         raise OrderBudgetExceeded(f"closure exceeded {cap} elements")
                     seen.add(y)
                     nxt.append(y)
-        frontier = nxt
+        frontier, step = nxt, gens
     return tuple(sorted(seen))
 
 
@@ -333,7 +343,9 @@ def _distinct(a):
     """The sorted distinct entries of an array of element indices: np.unique
     without the import of numpy.ma it makes on its first call."""
     a = np.sort(a, axis=None)
-    return a[np.diff(a, prepend=-1) != 0]
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def _power_table(G):
@@ -373,7 +385,8 @@ def _grow_subgroup(G, divisor):
 
     One pass, in index order, over the pool of elements whose order divides
     `divisor` (the pool of `subgroup_classes`): each x not yet in C is
-    joined, C <- <C, x>, when that closure has order dividing `divisor`;
+    joined, C <- <C, x>, when that closure (grown from C) has order
+    dividing `divisor`;
     the pass stops once |C| = `divisor`.  Maximal: a refused x stays
     refused, since <C, x> only grows as C does; and if some K ⊋ C had order
     dividing `divisor`, every x in K \\ C would lie in the pool and have
@@ -390,7 +403,7 @@ def _grow_subgroup(G, divisor):
         if x in members:
             continue
         try:
-            T = closure_elements(G.mul, G.identity, gens + [x], cap=divisor)
+            T = closure_elements(G.mul, G.identity, gens + [x], cap=divisor, start=members)
         except OrderBudgetExceeded:
             continue
         if divisor % len(T) == 0:
@@ -438,17 +451,17 @@ def commutator_subgroup(G, A, B=None):
     """Subgroup generated by commutators a b a^{-1} b^{-1}, a in A, b in B.
 
     A or B given as None stands for all of G.  Commutators are joined in
-    index order, each only when the closure so far misses it.
+    index order, each only when the closure so far misses it, and each
+    join grows from that closure.
     """
     a, b = (np.arange(G.order) if X is None else np.array(X.elements) for X in (A, B))
     comms = G.mul[G.mul[np.ix_(a, b)], G.mul[np.ix_(G.inv[a], G.inv[b])]]
-    gens, members = [], np.zeros(G.order, dtype=bool)
-    members[G.identity] = True
+    gens, members = [], {G.identity}
     for c in _distinct(comms).tolist():
-        if not members[c]:
+        if c not in members:
             gens.append(c)
-            members[list(closure_elements(G.mul, G.identity, gens))] = True
-    return SubgroupHandle(G, np.flatnonzero(members).tolist())
+            members = set(closure_elements(G.mul, G.identity, gens, start=members))
+    return SubgroupHandle(G, members)
 
 
 def double_cosets(G, D, H):
@@ -524,6 +537,19 @@ def complement(G, S):
     return C
 
 
+def _join(G, S, gens, y, normalizes, cap):
+    """<S, y> for a subgroup S = <gens> given as sorted elements, or None if
+    it has more than `cap` elements: S<y> by one gather when y normalises S
+    (then S<y> is a subgroup), else the closure grown from S."""
+    if normalizes:
+        T = _distinct(G.mul[np.array(S)[:, None], G.powers[y, : G.element_orders[y]]])
+        return tuple(T.tolist()) if len(T) <= cap else None
+    try:
+        return closure_elements(G.mul, G.identity, gens + [y], cap=cap, start=S)
+    except OrderBudgetExceeded:
+        return None
+
+
 def subgroup_classes(G, divisor=None, max_count=200000):
     """The subgroups of G whose order divides `divisor` (default |G|), up to
     conjugacy.
@@ -540,23 +566,29 @@ def subgroup_classes(G, divisor=None, max_count=200000):
     join the search makes: the pool is closed under conjugation, and every
     K_j has order dividing `divisor`.
 
-    One closure per double coset: once R has been joined with y, every
-    s y^k s' (s, s' in R, k prime to the order of y) is skipped, since
-    <R, s y^k s'> = <R, y>.  Such a join could only meet a subgroup already
-    registered, or one already refused for its size, so the classes, their
-    order and generators, the count and the point where the budget runs
-    out are those of joining every pool element.  Returns the
-    representatives as sorted element tuples, the number of distinct
-    subgroups met, and the set of the conjugates of the representatives:
-    every subgroup of order dividing `divisor`, as sorted element tuples.
-    Raises BudgetExceeded past `max_count` subgroups met.
+    Each shortcut meets the same subgroups in the same order, so the
+    classes, their order and generators, the count and the point where the
+    budget runs out are those of one closure from the identity per pool
+    element.  One join per double coset: once R has been joined with y,
+    every s y^k s' (s, s' in R, k prime to the order of y) is skipped, since
+    <R, s y^k s'> = <R, y>.  The trivial R is not joined: its joins are the
+    cyclic subgroups, registered first.  A join is the set <R, y>, grown
+    from R: R<y> when y normalises R (then R<y> is a subgroup, so it is
+    <R, y>), else `closure_elements` from `start` R.  g R g^-1 depends only
+    on the coset g N(R), so one conjugate per coset goes into the set of
+    conjugates; N(R) comes from the same conjugation gather.
+
+    Returns the representatives as sorted element tuples, the number of
+    distinct subgroups met, and the set of the conjugates of the
+    representatives: every subgroup of order dividing `divisor`, as sorted
+    element tuples.  Raises BudgetExceeded past `max_count` subgroups met.
     """
     divisor = G.order if divisor is None else int(divisor)
     pool = np.flatnonzero(divisor % G.element_orders == 0).tolist()
     powers, orders = G.powers, G.element_orders
     seen = set()
     known = set()  # every conjugate of every class found so far
-    classes = []  # (elements, generators)
+    classes = []  # (elements, generators, normalizer mask)
 
     def register(elems, gens):
         if elems in seen:
@@ -568,33 +600,37 @@ def subgroup_classes(G, divisor=None, max_count=200000):
             )
         seen.add(elems)
         if elems not in known:
-            conjugates = np.sort(SubgroupHandle(G, elems).conjugates(), axis=1)
-            known.update(map(tuple, conjugates.tolist()))
-            classes.append((elems, gens))
+            H = SubgroupHandle(G, elems)
+            conjugates = H.conjugates()
+            normalizer = H.mask[conjugates].all(axis=1)
+            todo, cosets = np.ones(G.order, dtype=bool), []
+            while todo.any():  # one g per coset g N(R)
+                cosets.append(int(todo.argmax()))
+                todo[G.mul[cosets[-1], normalizer]] = False
+            known.update(map(tuple, np.sort(conjugates[cosets], axis=1).tolist()))
+            classes.append((elems, gens, normalizer))
 
     for t in pool:
         register(tuple(_distinct(powers[t]).tolist()), [t])
     qi = 0
     while qi < len(classes):
-        S, gens = classes[qi]
+        S, gens, normalizer = classes[qi]
         qi += 1
+        if len(S) == 1:
+            continue
         s = np.array(S)
         done = np.zeros(G.order, dtype=bool)
         done[s] = True
         for y in pool:
             if done[y]:
                 continue
-            try:
-                T = closure_elements(G.mul, G.identity, gens + [y], cap=divisor)
-            except OrderBudgetExceeded:
-                pass
-            else:
-                if divisor % len(T) == 0:
-                    register(T, gens + [y])
+            T = _join(G, S, gens, y, normalizer[y], divisor)
+            if T is not None and divisor % len(T) == 0:
+                register(T, gens + [y])
             cyc = powers[y, : orders[y]]
             y_gens = cyc[orders[cyc] == orders[y]]  # y^k, k prime to the order of y
-            done[G.mul[np.ix_(G.mul[np.ix_(s, y_gens)].ravel(), s)]] = True
-    return [S for S, _ in classes], len(seen), known
+            done[G.mul[G.mul[s[:, None], y_gens][..., None], s]] = True
+    return [S for S, _, _ in classes], len(seen), known
 
 
 def all_subgroups(G):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normone.cli import (
+    DSET_MAX_ROWS,
     EXIT_BUDGET,
     EXIT_HYPOTHESIS,
     EXIT_OK,
@@ -215,6 +216,20 @@ def test_dset_verb(capsys):
     assert report["results"]["s_min"] == 3000009
 
 
+def test_dset_rows_past_the_budget_exit_2(capsys):
+    # the table is refused before a row is built, however large --max is
+    for rows in (DSET_MAX_ROWS + 1, 10**20):
+        start = time.perf_counter()
+        code, report = run_capture(capsys, ["dset", "--p", "5", "--max", str(rows)])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_BUDGET
+        assert report["error"]["type"] == "BudgetExceeded"
+        assert report["error"]["sizes"] == {"rows": rows, "budget": DSET_MAX_ROWS}
+    code, report = run_capture(capsys, ["dset", "--p", "5", "--max", str(DSET_MAX_ROWS)])
+    assert code == EXIT_OK
+    assert len(report["results"]["table"]) == DSET_MAX_ROWS
+
+
 def test_classify_verb(capsys):
     code, report = run_capture(
         capsys, ["classify", "--group", A4_JSON, "--subgroup", "0,1"]
@@ -331,6 +346,10 @@ def _sha_argv(spec, *extra):
         # a point in two cycles: the map is no permutation
         (_sha_argv({"kind": "permutations", "degree": 3, "generators": ["(1 2)(2 3)"]}),
          "SpecInvalid", EXIT_PARSE),
+        # sizes below 1
+        (["dset", "--p", "5", "--max", "-1"], "SchemaError", EXIT_PARSE),
+        (["dset", "--p", "5", "--max", "0"], "SchemaError", EXIT_PARSE),
+        (["scan-reps", "--p", "5", "--n", "2", "--max-subgroups", "-1"], "SchemaError", EXIT_PARSE),
     ],
 )
 def test_malformed_input_exits_with_typed_error(capsys, argv, error, code):

@@ -390,12 +390,16 @@ def test_subgroup_classes_conjugates_each_class_once(monkeypatch):
 
 
 def _closure_per_pool_element(G, divisor=None, max_count=200000):
-    """`subgroup_classes` as it was before the double-coset skip: one closure
-    for every pair of class representative and pool element.  The reference
-    for the skip's exactness; the budget error is raised at the same point."""
+    """`subgroup_classes` as it was before its shortcuts: one closure from
+    the identity for every pair of class representative and pool element,
+    the trivial representative included, and every row of each new class's
+    conjugates.  The reference for the shortcuts' exactness; the budget
+    error is raised at the same point.  Returns the representatives, the
+    count of subgroups met, the set of all subgroups met as conjugates, and
+    each representative's generators."""
     divisor = G.order if divisor is None else int(divisor)
     pool = np.flatnonzero(divisor % G.element_orders == 0).tolist()
-    seen, keys, classes = set(), set(), []
+    seen, keys, classes, subgroups = set(), set(), [], set()
 
     def register(elems, gens):
         if elems in seen:
@@ -403,10 +407,12 @@ def _closure_per_pool_element(G, divisor=None, max_count=200000):
         if len(seen) >= max_count:
             raise BudgetExceeded("budget", sizes={"subgroups": len(seen), "budget": max_count})
         seen.add(elems)
-        key = SubgroupHandle(G, elems).canonical_conjugate().elements
+        H = SubgroupHandle(G, elems)
+        key = H.canonical_conjugate().elements
         if key not in keys:
             keys.add(key)
             classes.append((elems, gens))
+            subgroups.update(map(tuple, np.sort(H.conjugates(), axis=1).tolist()))
 
     def closure(gens):
         try:
@@ -426,23 +432,59 @@ def _closure_per_pool_element(G, divisor=None, max_count=200000):
             T = closure(gens + [y])
             if T is not None and divisor % len(T) == 0:
                 register(T, gens + [y])
-    return [S for S, _ in classes], len(seen)
+    return [S for S, _ in classes], len(seen), subgroups, [gens for _, gens in classes]
 
 
 def _gl2_pprime(p):
     return _gl2_group(p)[0], (p * p - 1) * (p - 1)
 
 
+def _record_joins(monkeypatch):
+    """Record (representative, its generators, y, normalises, join) for
+    every join `subgroup_classes` makes."""
+    joins, join = [], groups._join
+
+    def recording(G, S, gens, y, normalizes, cap):
+        T = join(G, S, gens, y, normalizes, cap)
+        joins.append((S, gens, y, bool(normalizes), T))
+        return T
+
+    monkeypatch.setattr(groups, "_join", recording)
+    return joins
+
+
 @pytest.mark.parametrize("name", catalog_names() + ["GL2(F3)", "GL2(F5)"])
-def test_subgroup_classes_match_one_closure_per_pool_element(name):
+def test_subgroup_classes_match_one_closure_per_pool_element(name, monkeypatch):
     if name.startswith("GL2"):
         G, cap = _gl2_pprime(int(name[-2]))
         divisors = [cap]
     else:
         G = catalog_group(name)
         divisors = [d for d in range(1, G.order + 1) if G.order % d == 0]
+    joins = _record_joins(monkeypatch)
     for d in divisors:
-        assert subgroup_classes(G, d)[:2] == _closure_per_pool_element(G, d), (name, d)
+        joins.clear()
+        classes, count, subgroups, generators = _closure_per_pool_element(G, d)
+        assert subgroup_classes(G, d) == (classes, count, subgroups), (name, d)
+        # each representative is joined through the generators it was found with
+        generators_of = dict(zip(classes, generators))
+        assert all(gens == generators_of[S] for S, gens, _, _, _ in joins), (name, d)
+
+
+def test_every_join_equals_its_closure_from_the_identity(monkeypatch):
+    G, cap = _gl2_pprime(5)
+    joins = _record_joins(monkeypatch)
+    subgroup_classes(G, cap)
+    assert len(joins) == 529
+    assert sum(normalizes for *_, normalizes, _ in joins) == 230
+    for S, gens, y, normalizes, T in joins:
+        assert len(S) > 1  # the trivial representative is never joined
+        assert normalizes == ({G.conj(y, x) for x in S} == set(S))
+        try:
+            want = closure_elements(G.mul, G.identity, gens + [y], cap)
+        except OrderBudgetExceeded:
+            want = None  # both exceed the cap
+        assert T == want, (S, y)
 
 
 @pytest.mark.parametrize("max_count", [1, 2, 9, 30, 150, 290])
@@ -666,21 +708,25 @@ def test_complement_examples():
 def test_growth_never_builds_a_closure_past_its_divisor(monkeypatch):
     sizes = []
 
-    def recording(mul, identity, gens, cap=None):
-        out = closure_elements(mul, identity, gens, cap)
+    def recording(mul, identity, gens, cap=None, start=None):
+        out = closure_elements(mul, identity, gens, cap, start)
         sizes.append(len(out))
         return out
 
     monkeypatch.setattr(groups, "closure_elements", recording)
+    recorded = 0
     for name, G, primes in _growth_groups():
         for p in primes:
             sizes.clear()
             S = sylow_subgroup(G, p)
+            recorded += len(sizes)
             assert max(sizes, default=1) <= S.order, (name, p)
             if S.is_normal:
                 sizes.clear()
                 complement(G, S)
+                recorded += len(sizes)
                 assert max(sizes, default=1) <= G.order // S.order, (name, p)
+    assert recorded > 0  # the hook sees the growth's closures
 
 
 def test_complement_beta_group():
