@@ -1,8 +1,9 @@
 """Brute-force integer group cohomology on the Cayley-graph presentation complex.
 
-Degrees 0, 1, 2 only.  The breadth-first spanning tree `G.cayley_tree` of
-the Cayley graph of G on its generators s_1..s_k gives a presentation with
-one relator w(g) s_i w(g s_i)^{-1} per non-tree edge (g, i), w(g) being
+Degrees 0, 1, 2 only.  `G.presentation` is a generating set s_1..s_k (a
+pair wherever a bounded search finds one, else `G.gens`) with the
+breadth-first spanning tree of its Cayley graph.  That gives a presentation
+with one relator w(g) s_i w(g s_i)^{-1} per non-tree edge (g, i), w(g) being
 the tree word of g (Brown, *Cohomology of Groups*, ch. II-IV).  So
 C^1 = M^k, C^2 = M^R with R = nk - n + 1, d^0 m = (s_i m - m)_i, and by
 Fox calculus (d^1 f)(g, i) = P_g f + g f_i - P_{g s_i} f, where P_1 = 0
@@ -44,7 +45,7 @@ def _maxabs(a):
 
 
 def _check_budget(G, rank, degree, budget):
-    n, k = G.order, len(G.gens)
+    n, k = G.order, len(G.presentation[0])
     cells = (1, k, n * k - n + 1)[degree]
     cols = max(cells, 1) * max(rank, 1)
     if cols > budget:
@@ -58,18 +59,19 @@ def _coboundary0(M):
     """d^0 as a (k r, r) int64 matrix of the blocks s_i - 1 (one zero block if k = 0)."""
     G = M.group
     eye = np.eye(M.rank, dtype=np.int64)
-    return np.vstack([M.act[s] - eye for s in G.gens or (G.identity,)])
+    return np.vstack([M.act[s] - eye for s in G.presentation[0] or (G.identity,)])
 
 
 def _coboundary1(M):
     """Dense d^1 as an (R r, k r) int64 matrix."""
-    G, r, k = M.group, M.rank, len(M.group.gens)
-    tree, rg, ri = G.cayley_tree
+    G, r = M.group, M.rank
+    gens, tree, rg, ri = G.presentation
+    k = len(gens)
     P = np.zeros((G.order, r, k * r), dtype=np.int64)
     for g, i, h in tree:
         P[h] = P[g]
         P[h, :, i * r:(i + 1) * r] += M.act[g]
-    d1 = P[rg] - P[G.mul[rg, np.array(G.gens)[ri]]]
+    d1 = P[rg] - P[G.mul[rg, np.array(gens)[ri]]]
     for i in range(k):
         sel = ri == i
         d1[sel, :, i * r:(i + 1) * r] += M.act[rg[sel]]
@@ -78,10 +80,10 @@ def _coboundary1(M):
 
 def _bar_table(G, z):
     """The bar 2-cochain of relator values z, shape (R, r) -> (n, n, r)."""
-    tree, rg, ri = G.cayley_tree
+    gens, tree, rg, ri = G.presentation
     if _maxabs(z) * G.order < 2**31:  # a walk crosses < n edges; the
         z = z.astype(np.int64)  # cocycle check's g.c(s, h) stays in int64
-    edge = np.zeros((G.order, len(G.gens)) + z.shape[1:], dtype=z.dtype)
+    edge = np.zeros((G.order, len(gens)) + z.shape[1:], dtype=z.dtype)
     edge[rg, ri] = z
     c = np.zeros((G.order, G.order) + z.shape[1:], dtype=z.dtype)
     for g, i, h in tree:
@@ -91,11 +93,11 @@ def _bar_table(G, z):
 
 def _relator_values(G, c):
     """Relator values Phi(w(g) s_i) - Phi(w(g s_i)) of a bar 2-cochain."""
-    tree, rg, ri = G.cayley_tree
+    gens, tree, rg, ri = G.presentation
     U = np.zeros((G.order,) + c.shape[2:], dtype=c.dtype)  # U(g) = Phi(w(g))
     for g, i, h in tree:
-        U[h] = U[g] + c[g, G.gens[i]]
-    rs = np.array(G.gens)[ri]
+        U[h] = U[g] + c[g, gens[i]]
+    rs = np.array(gens)[ri]
     return U[rg] + c[rg, rs] - U[G.mul[rg, rs]]
 
 
@@ -125,7 +127,7 @@ def cocycle2_defect(M, c):
     if exact and c.dtype == object:
         c = c.astype(np.int64)
     act = M.act.astype(np.float64) if exact else M.act
-    for s in G.gens:
+    for s in G.presentation[0]:
         cs = c[s].T.astype(np.float64) if exact else c[s].T
         gc = np.matmul(act, cs).transpose(0, 2, 1)  # [g, h] = g.c(s, h)
         d = gc - c[G.mul[:, s]] + c[:, G.mul[s]] - c[:, s][:, None, :]
@@ -257,10 +259,11 @@ def is_coboundary(D, M, c):
     f = intmat.solve(_coboundary1(RM), _relator_values(sub, c).reshape(-1))
     if f is None:
         return False, None
-    f = f.reshape(len(sub.gens), r)
+    gens, tree, _, _ = sub.presentation
+    f = f.reshape(len(gens), r)
     b = np.zeros((sub.order, r), dtype=object)
-    for g, i, h in sub.cayley_tree[0]:
-        b[h] = RM.act[g] @ f[i] + b[g] - c[g, sub.gens[i]]
+    for g, i, h in tree:
+        b[h] = RM.act[g] @ f[i] + b[g] - c[g, gens[i]]
     if np.any(_bar_coboundary(RM, b) != c):  # c is not even a cocycle
         return False, None
     return True, b
@@ -450,12 +453,16 @@ def sha(G, M, dset, budget=DEFAULT_COCHAIN_BUDGET):
     lattice = _restriction_lattice(G, M, base, raw)
     qorders, qgens = intmat.quotient_group(lattice, np.diag(np.array(orders, dtype=object)))
     structure = FinAb.from_factors(qorders)
+    sizes = [_maxabs(gen) for gen in base.generators]
     gens = []
     for coeff in qgens:
-        c = np.zeros_like(np.array(base.generators[0], dtype=object))
-        for a, d, gen in zip(coeff, orders, base.generators):
-            a = int(a) % d  # d * [gen] vanishes, so reduce for small entries
-            c = c + a * np.array(gen, dtype=object)
+        coeff = [int(a) % d for a, d in zip(coeff, orders)]  # d * [gen] vanishes
+        # no partial sum exceeds sum_j a_j max|gen_j|: int64 where that fits
+        exact = sum(a * m for a, m in zip(coeff, sizes)) < 2**63
+        c = np.zeros(base.generators[0].shape, dtype=np.int64 if exact else object)
+        for a, gen in zip(coeff, base.generators):
+            if a:
+                c += a * np.asarray(gen, dtype=c.dtype)
         gens.append(c)
     return ShaGroup(base, raw, structure, gens)
 

@@ -77,7 +77,7 @@ class FiniteGroup:
 
     __slots__ = (
         "order", "mul", "inv", "identity", "label", "gens",
-        "_orders", "_powers", "_tree", "_cyclic", "_cyclic_handles",
+        "_orders", "_powers", "_tree", "_presentation", "_cyclic", "_cyclic_handles",
     )
 
     def __init__(self, mul, identity, label="", gens=None, validate=True):
@@ -90,7 +90,7 @@ class FiniteGroup:
         self.label = label
         self._orders = None
         self._powers = None
-        self._tree = None
+        self._tree = self._presentation = None
         self._cyclic = self._cyclic_handles = None
         hits = mul == self.identity
         bad = np.flatnonzero(hits.sum(axis=1) != 1)
@@ -164,35 +164,83 @@ class FiniteGroup:
 
     @property
     def cayley_tree(self):
-        """A breadth-first spanning tree of the Cayley graph on `gens`.
-
-        Returns (tree, rel_g, rel_i): `tree` lists the edges (g, i, g s_i)
-        that first reach a vertex, in breadth-first order from the identity;
-        `rel_g`, `rel_i` index the other edges in (g, i) order.  Each of
-        those gives the relator w(g) s_i w(g s_i)^{-1} of a presentation of
-        the group, w(g) being the tree word of g.
-        """
+        """`_spanning_tree` on `gens`, computed once per group."""
         if self._tree is None:
-            reach = self.mul[:, list(self.gens)].tolist()  # reach[g][i] = g s_i
-            seen = [False] * self.order
-            seen[self.identity] = True
-            on_tree = np.zeros((self.order, len(self.gens)), dtype=bool)
-            tree, queue = [], [self.identity]
-            for g in queue:
-                for i, h in enumerate(reach[g]):
-                    if not seen[h]:
-                        seen[h] = True
-                        on_tree[g, i] = True
-                        tree.append((g, i, h))
-                        queue.append(h)
-            self._tree = (tree, *np.nonzero(~on_tree))
+            self._tree = _spanning_tree(self.mul, self.identity, self.gens)
         return self._tree
+
+    @property
+    def presentation(self):
+        """(gens, tree, rel_g, rel_i): the generating set that the cohomology
+        complex reads, with its `_spanning_tree`: `gens` if it has at most two
+        elements, else a pair from `_generating_pair` if one is found, else
+        `gens`.  k generators give n k - n + 1 relators."""
+        if self._presentation is None:
+            pair = self._generating_pair() if len(self.gens) > 2 else None
+            self._presentation = pair or (self.gens, *self.cayley_tree)
+        return self._presentation
+
+    def _generating_pair(self, tries=64):
+        """(gens, tree, rel_g, rel_i) for a generating pair, or None.
+
+        Deterministic, and bounded to `tries` spanning trees: x runs over
+        the elements of maximal order, y over the elements outside <x> by
+        decreasing order, each once per cyclic subgroup, skipping a y that
+        commutes with x in a non-abelian group; a pair is accepted when its
+        tree reaches every element.  An abelian group with exponent e and
+        e^2 < n is not searched: a 2-generated one is Z/a x Z/b, b | a = e.
+        """
+        n, mul, orders = self.order, self.mul, self.element_orders
+        abelian = bool((mul == mul.T).all())
+        if abelian and int(np.lcm.reduce(orders)) ** 2 < n:
+            return None
+        reps = _cyclic_generators(self)[1:]  # [0] is the identity
+        reps = reps[np.argsort(-orders[reps], kind="stable")].tolist()
+        for x in reps:
+            if orders[x] < orders[reps[0]]:
+                break
+            inside = set(self.powers[x, : orders[x]].tolist())
+            for y in reps:
+                if y in inside or not abelian and mul[x, y] == mul[y, x]:
+                    continue  # <x, y> would be <x> or abelian
+                if tries == 0:
+                    return None
+                tries -= 1
+                tree = _spanning_tree(mul, self.identity, (x, y))
+                if len(tree[0]) == n - 1:
+                    return ((x, y), *tree)
+        return None
 
     def elements(self):
         return range(self.order)
 
     def __repr__(self):
         return f"FiniteGroup({self.label or 'order ' + str(self.order)})"
+
+
+def _spanning_tree(mul, identity, gens):
+    """A breadth-first spanning tree of the Cayley graph on `gens`.
+
+    Returns (tree, rel_g, rel_i): `tree` lists the edges (g, i, g s_i) that
+    first reach a vertex, in breadth-first order from the identity;
+    `rel_g`, `rel_i` index the other edges in (g, i) order.  When `gens`
+    generates the group, the tree has n - 1 edges and each other edge gives
+    the relator w(g) s_i w(g s_i)^{-1} of a presentation of the group, w(g)
+    being the tree word of g.
+    """
+    reach = mul[:, list(gens)].tolist()  # reach[g][i] = g s_i
+    seen = [False] * len(mul)
+    seen[identity] = True
+    on_tree = np.zeros((len(mul), len(gens)), dtype=bool)
+    tree, queue = [], [identity]
+    for g in queue:
+        for i, h in enumerate(reach[g]):
+            if not seen[h]:
+                seen[h] = True
+                on_tree[g, i] = True
+                tree.append((g, i, h))
+                queue.append(h)
+    return (tree, *np.nonzero(~on_tree))
 
 
 def closure_elements(mul, identity, gens, cap=None, start=None):
@@ -357,13 +405,18 @@ def _power_table(G):
     return np.stack(powers, axis=1)
 
 
+def _cyclic_generators(G):
+    """One generator per cyclic subgroup, ascending: <g> is named by its
+    least element of the same order as g."""
+    orders, powers = G.element_orders, G.powers
+    return _distinct(np.where(orders[powers] == orders[:, None], powers, G.order).min(axis=1))
+
+
 def cyclic_subgroup_elements(G):
     """The element tuples of all cyclic subgroups of G, trivial subgroup
     included, sorted by (order, elements); computed once per group."""
     if G._cyclic is None:
-        orders, powers = G.element_orders, G.powers
-        # <g> is named by its least element of the same order as g
-        gens = _distinct(np.where(orders[powers] == orders[:, None], powers, G.order).min(axis=1))
+        orders, powers, gens = G.element_orders, G.powers, _cyclic_generators(G)
         out = []
         for m in _distinct(orders[gens]).tolist():
             rows = np.sort(powers[gens[orders[gens] == m], :m], axis=1)  # columns < m: <g>

@@ -2,8 +2,9 @@
 
 Everything here is exact over the integers, on arbitrary-precision Python
 ints: the row-echelon accumulator keeps sparse rows {column: nonzero int},
-and the Smith reduction works on object arrays.  Pivoting is deterministic
-with a swap-to-smallest rule to keep entries small.
+and the Smith reduction works on lists of rows.  Pivoting is deterministic
+with a swap-to-smallest rule to keep entries small.  A tall int64 matrix
+gets its Hermite basis from a candidate lattice (`row_lattice_basis`).
 """
 
 from __future__ import annotations
@@ -132,13 +133,63 @@ class RowEchelon:
         return out
 
 
+# below this many entries a tall matrix is cheaper to reduce row by row
+# (measured on the d^1 matrices of the catalog groups)
+_CANDIDATE_CELLS = 400
+
+
+def _members(X, acc):
+    """Mask of the int64 rows x of X proved to lie in the row lattice of the
+    accumulator: x = a B exactly for its basis B and an integer vector a.
+
+    a is read off the pivots by back substitution in int64, which may wrap
+    around; so a row counts only where max|x| + sum_i |a_i| max|B_i| < 2^62
+    (summed in float64, whose rounding that margin covers).  That bounds
+    every product and partial sum of x - a B below 2^63, so its residual is
+    exact, and zero exactly when x = a B.
+    """
+    cols = acc._cols
+    if not cols:
+        return ~X.any(axis=1)
+    B = np.zeros((len(cols), acc.ncols), dtype=np.int64)
+    for i, c in enumerate(cols):
+        row = acc._rows[c]
+        if max(map(abs, row.values())) >= 2**62:
+            return np.zeros(len(X), dtype=bool)
+        B[i, list(row)] = list(row.values())
+    a = np.zeros((len(X), len(cols)), dtype=np.int64)
+    rest = X.copy()
+    for i, c in enumerate(cols):
+        a[:, i] = rest[:, c] // B[i, c]
+        rest[:, c:] -= a[:, i, None] * B[i, c:]
+    bound = np.abs(X.astype(np.float64)).max(axis=1)
+    bound += (np.abs(a.astype(np.float64)) * np.abs(B).max(axis=1)).sum(axis=1)
+    return (bound < 2.0**62) & ~rest.any(axis=1)
+
+
 def row_lattice_basis(A):
-    """Hermite-reduced basis of the row lattice of A (rank x ncols)."""
+    """Hermite-reduced basis of the row lattice of A (rank x ncols).
+
+    A tall int64 matrix (4 rows per column, _CANDIDATE_CELLS entries) goes
+    through a candidate lattice: its first ncols rows are reduced, and the
+    other rows that `_members` cannot prove in the lattice so far are
+    inserted, ncols at a time, before the rest are checked again.  The
+    candidate lies in the row lattice and contains every row, so it is
+    that lattice, whose Hermite basis is unique.
+    """
     A = np.asarray(A)
     if A.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    acc = RowEchelon(A.shape[1])
-    if A.size:
+    m, n = A.shape
+    acc = RowEchelon(n)
+    if A.dtype == np.int64 and m >= 4 * n and A.size >= _CANDIDATE_CELLS:
+        acc.add_rows(A[:n])
+        rest = A[n:]
+        while len(rest):
+            rest = rest[~_members(rest, acc)]
+            acc.add_rows(rest[:n])
+            rest = rest[n:]
+    elif A.size:
         acc.add_rows(A)
     return acc.matrix()
 
@@ -146,6 +197,10 @@ def row_lattice_basis(A):
 def column_lattice_basis(A):
     """Hermite-reduced basis (as columns) of the column lattice of A."""
     return row_lattice_basis(np.asarray(A).T).T
+
+
+def _int_rows(M):
+    return [[int(x) for x in row] for row in M.tolist()]
 
 
 def smith(A, want_uinv=False, want_v=False, carry=None):
@@ -156,14 +211,16 @@ def smith(A, want_uinv=False, want_v=False, carry=None):
     U @ A @ V = D.  U itself is never materialized: Uinv (its inverse,
     tracked by inverse column operations) is returned on request, and
     `carry` (a vector or matrix with as many rows as A) receives the same
-    row operations as A, i.e. carry_out = U @ carry.
+    row operations as A, i.e. carry_out = U @ carry.  The reduction runs
+    on lists of rows of Python ints, with Uinv and V transposed.
     """
-    A = np.array(A, dtype=object)
+    A = np.asarray(A)
     if A.ndim != 2:
         raise ValueError("smith expects a 2-d matrix")
     m, n = A.shape
-    Uinv = np.eye(m, dtype=object) if want_uinv else None
-    V = np.eye(n, dtype=object) if want_v else None
+    A = _int_rows(A)
+    UT = _int_rows(np.eye(m, dtype=np.int64)) if want_uinv else None  # UT[i] = Uinv[:, i]
+    VT = _int_rows(np.eye(n, dtype=np.int64)) if want_v else None  # VT[i] = V[:, i]
     C = None
     if carry is not None:
         C = np.array(carry, dtype=object)
@@ -171,86 +228,90 @@ def smith(A, want_uinv=False, want_v=False, carry=None):
             C = C.reshape(-1, 1)
         if C.shape[0] != m:
             raise ValueError("carry must have as many rows as A")
+        C, width = _int_rows(C), C.shape[1]
+    rows = [M for M in (A, C) if M is not None]  # these take A's row operations
+    lists = rows + [UT] * (UT is not None)  # these A's row swaps and negations
+
+    def axpy(M, i, j, q):  # M[i] -= q * M[j]
+        M[i] = [x - q * y for x, y in zip(M[i], M[j])]
 
     def row_op(i, j, q):  # row_i -= q * row_j
-        A[i] -= q * A[j]
-        if C is not None:
-            C[i] -= q * C[j]
-        if Uinv is not None:
-            Uinv[:, j] += q * Uinv[:, i]
+        for M in rows:
+            axpy(M, i, j, q)
+        if UT is not None:
+            axpy(UT, j, i, -q)
 
     def col_op(i, j, q):  # col_i -= q * col_j
-        A[:, i] -= q * A[:, j]
-        if V is not None:
-            V[:, i] -= q * V[:, j]
+        for row in A:
+            if row[j]:
+                row[i] -= q * row[j]
+        if VT is not None:
+            axpy(VT, i, j, q)
 
     def row_swap(i, j):
-        A[[i, j]] = A[[j, i]]
-        if C is not None:
-            C[[i, j]] = C[[j, i]]
-        if Uinv is not None:
-            Uinv[:, [i, j]] = Uinv[:, [j, i]]
+        for M in lists:
+            M[i], M[j] = M[j], M[i]
 
     def col_swap(i, j):
-        A[:, [i, j]] = A[:, [j, i]]
-        if V is not None:
-            V[:, [i, j]] = V[:, [j, i]]
-
-    def row_negate(i):
-        A[i] = -A[i]
-        if C is not None:
-            C[i] = -C[i]
-        if Uinv is not None:
-            Uinv[:, i] = -Uinv[:, i]
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        if VT is not None:
+            VT[i], VT[j] = VT[j], VT[i]
 
     k = 0
     while k < min(m, n):
-        sub = A[k:, k:]
-        nzr, nzc = np.nonzero(sub)
-        if nzr.size == 0:
+        best, at = 0, None  # the first entry of least absolute value in A[k:, k:]
+        for i in range(k, m):
+            for j, x in enumerate(A[i][k:], k):
+                if x and (at is None or abs(x) < best):
+                    best, at = abs(x), (i, j)
+            if best == 1:
+                break  # no entry is smaller
+        if at is None:
             break
-        vals = np.abs(sub[nzr, nzc])
-        best = int(np.argmin(vals))
-        pi, pj = int(nzr[best]) + k, int(nzc[best]) + k
-        if pi != k:
-            row_swap(k, pi)
-        if pj != k:
-            col_swap(k, pj)
+        if at[0] != k:
+            row_swap(k, at[0])
+        if at[1] != k:
+            col_swap(k, at[1])
         while True:
-            if int(A[k, k]) < 0:
-                row_negate(k)
-            pivot = int(A[k, k])
+            if A[k][k] < 0:
+                for M in lists:
+                    M[k] = [-x for x in M[k]]
+            pivot = A[k][k]
             clean = True
             for i in range(k + 1, m):
-                if A[i, k]:
-                    row_op(i, k, int(A[i, k]) // pivot)
-                    if A[i, k]:
+                if A[i][k]:
+                    row_op(i, k, A[i][k] // pivot)
+                    if A[i][k]:
                         row_swap(k, i)
                         clean = False
                         break
             if not clean:
                 continue
             for j in range(k + 1, n):
-                if A[k, j]:
-                    col_op(j, k, int(A[k, j]) // pivot)
-                    if A[k, j]:
+                if A[k][j]:
+                    col_op(j, k, A[k][j] // pivot)
+                    if A[k][j]:
                         col_swap(k, j)
                         clean = False
                         break
             if clean:
                 break
-        pivot = int(A[k, k])
+        pivot = A[k][k]
         if pivot != 1:
-            block = A[k + 1:, k + 1:]
-            if block.size:
-                bad_rows = np.nonzero(np.mod(block, pivot).any(axis=1))[0]
-                if bad_rows.size:
-                    row_op(k, k + 1 + int(bad_rows[0]), -1)
-                    continue
+            bad = next((i for i in range(k + 1, m) if any(x % pivot for x in A[i][k + 1:])), None)
+            if bad is not None:
+                row_op(k, bad, -1)
+                continue
         k += 1
 
-    diag = [abs(int(A[i, i])) for i in range(min(m, n)) if A[i, i]]
-    return diag, Uinv, V, C
+    def array(M, width):
+        return np.array(M, dtype=object).reshape(len(M), width)
+
+    diag = [abs(A[i][i]) for i in range(min(m, n)) if A[i][i]]
+    Uinv = None if UT is None else array(UT, m).T
+    V = None if VT is None else array(VT, n).T
+    return diag, Uinv, V, None if C is None else array(C, width)
 
 
 def invariant_factors(A):

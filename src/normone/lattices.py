@@ -2,8 +2,9 @@
 
 Induced permutation lattices are realized as left-coset permutation
 modules; the norm-one character lattices are quotients of their direct
-sums by the diagonal copy of Z, with the quotient basis produced by Smith
-normal form so the result is a genuine torsion-free lattice.
+sums by the diagonal copy of Z, through the quotient map [-1 | I], whose
+image of e_i (i >= 1) is a basis, so the result is a genuine torsion-free
+lattice.
 """
 
 from __future__ import annotations
@@ -163,19 +164,16 @@ def j_lattice(G, pairs):
         ind, _ = induced_perm_lattice(G, H)
         for _ in range(e):
             total = ind if total is None else direct_sum(total, ind)
+    # The quotient map q = [-1 | I] kills the all-ones vector and sends e_i
+    # to f_i for i >= 1 and e_0 to -(f_1 + ... + f_{R-1}), so P f_j =
+    # q(P e_j) has coefficient P[i, j] - P[0, j] on f_i.
     R = total.rank
-    ones = np.ones((R, 1), dtype=np.int64)
-    diag, Uinv, _, U = intmat.smith(ones, want_uinv=True, carry=np.eye(R, dtype=object))
-    if diag != [1]:
-        raise SpecInvalid("diagonal embedding is not primitive")  # unreachable
-    U = np.array(U, dtype=np.int64)
-    Uinv = np.array(Uinv, dtype=np.int64)
-    # In the U-basis every action matrix fixes e_1, so it is block
-    # triangular and the quotient action is the lower-right block.
-    act_j = (U @ total.act @ Uinv)[:, 1:, 1:]
+    P = total.act
+    act_j = P[:, 1:, 1:] - P[:, :1, 1:]
     names = ",".join(f"{H.order}^{e}" if e > 1 else f"{H.order}" for H, e in pairs)
     lat = GLattice(G, act_j, label=f"J[{G.order}/({names})]", validate=False)
-    qmap = LatticeMap(total, lat, U[1:, :])
+    quotient = np.hstack([-np.ones((R - 1, 1), dtype=np.int64), np.eye(R - 1, dtype=np.int64)])
+    qmap = LatticeMap(total, lat, quotient)
     return lat, qmap
 
 

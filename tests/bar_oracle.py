@@ -7,6 +7,10 @@ The restriction kernel prunes the dset with a loop over the conjugates of
 each kept member.  `restriction_lattice` is the per-member route that
 normone.cohomology's single stacked kernel replaced: one kernel on each
 member's own presentation complex and one lattice intersection per member.
+`row_echelon_basis` and `numpy_smith` are the integer kernels that
+normone.intmat's candidate-lattice Hermite basis and list-of-ints Smith
+reduction replaced: every row through `RowEchelon`, and the same Smith
+pivot rule and operations on object arrays.
 Tests only; nothing in normone imports it.
 """
 
@@ -337,3 +341,109 @@ def restriction_lattice(G, M, base, dset):
             cond = intmat.column_lattice_basis(K[:kcount, :])
         lattice = lattice_intersect(lattice, cond)
     return lattice
+
+
+def row_echelon_basis(A):
+    """The Hermite basis of the row lattice of A, every row through `RowEchelon`."""
+    A = np.asarray(A)
+    acc = intmat.RowEchelon(A.shape[1])
+    if A.size:
+        acc.add_rows(A)
+    return acc.matrix()
+
+
+def numpy_smith(A, want_uinv=False, want_v=False, carry=None):
+    """`intmat.smith` on object arrays: the same pivot rule and operations."""
+    A = np.array(A, dtype=object)
+    if A.ndim != 2:
+        raise ValueError("smith expects a 2-d matrix")
+    m, n = A.shape
+    Uinv = np.eye(m, dtype=object) if want_uinv else None
+    V = np.eye(n, dtype=object) if want_v else None
+    C = None
+    if carry is not None:
+        C = np.array(carry, dtype=object)
+        if C.ndim == 1:
+            C = C.reshape(-1, 1)
+        if C.shape[0] != m:
+            raise ValueError("carry must have as many rows as A")
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        A[i] -= q * A[j]
+        if C is not None:
+            C[i] -= q * C[j]
+        if Uinv is not None:
+            Uinv[:, j] += q * Uinv[:, i]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        A[:, i] -= q * A[:, j]
+        if V is not None:
+            V[:, i] -= q * V[:, j]
+
+    def row_swap(i, j):
+        A[[i, j]] = A[[j, i]]
+        if C is not None:
+            C[[i, j]] = C[[j, i]]
+        if Uinv is not None:
+            Uinv[:, [i, j]] = Uinv[:, [j, i]]
+
+    def col_swap(i, j):
+        A[:, [i, j]] = A[:, [j, i]]
+        if V is not None:
+            V[:, [i, j]] = V[:, [j, i]]
+
+    def row_negate(i):
+        A[i] = -A[i]
+        if C is not None:
+            C[i] = -C[i]
+        if Uinv is not None:
+            Uinv[:, i] = -Uinv[:, i]
+
+    k = 0
+    while k < min(m, n):
+        sub = A[k:, k:]
+        nzr, nzc = np.nonzero(sub)
+        if nzr.size == 0:
+            break
+        vals = np.abs(sub[nzr, nzc])
+        best = int(np.argmin(vals))
+        pi, pj = int(nzr[best]) + k, int(nzc[best]) + k
+        if pi != k:
+            row_swap(k, pi)
+        if pj != k:
+            col_swap(k, pj)
+        while True:
+            if int(A[k, k]) < 0:
+                row_negate(k)
+            pivot = int(A[k, k])
+            clean = True
+            for i in range(k + 1, m):
+                if A[i, k]:
+                    row_op(i, k, int(A[i, k]) // pivot)
+                    if A[i, k]:
+                        row_swap(k, i)
+                        clean = False
+                        break
+            if not clean:
+                continue
+            for j in range(k + 1, n):
+                if A[k, j]:
+                    col_op(j, k, int(A[k, j]) // pivot)
+                    if A[k, j]:
+                        col_swap(k, j)
+                        clean = False
+                        break
+            if clean:
+                break
+        pivot = int(A[k, k])
+        if pivot != 1:
+            block = A[k + 1:, k + 1:]
+            if block.size:
+                bad_rows = np.nonzero(np.mod(block, pivot).any(axis=1))[0]
+                if bad_rows.size:
+                    row_op(k, k + 1 + int(bad_rows[0]), -1)
+                    continue
+        k += 1
+
+    diag = [abs(int(A[i, i])) for i in range(min(m, n)) if A[i, i]]
+    return diag, Uinv, V, C

@@ -31,6 +31,7 @@ from normone.groups import (
     core,
     cyclic_subgroup_elements,
     cyclic_subgroups,
+    direct_product,
     double_cosets,
     full_subgroup,
     index_vector,
@@ -781,13 +782,14 @@ def test_is_prime_matches_trial_division():
 # -- the Cayley tree and generator images ---------------------------------------------
 
 
-def _queue_cayley_tree(G):
+def _queue_cayley_tree(G, gens=None):
     """The breadth-first tree by one queue from the identity, generators in
     order at each element, with the other edges in (g, i) order."""
-    on_tree = np.zeros((G.order, len(G.gens)), dtype=bool)
+    gens = G.gens if gens is None else gens
+    on_tree = np.zeros((G.order, len(gens)), dtype=bool)
     tree, queue, seen = [], [G.identity], {G.identity}
     for g in queue:
-        for i, s in enumerate(G.gens):
+        for i, s in enumerate(gens):
             h = int(G.mul[g, s])
             if h not in seen:
                 seen.add(h)
@@ -804,6 +806,48 @@ def test_cayley_tree_matches_queue(name):
     ref_tree, ref_g, ref_i = _queue_cayley_tree(G)
     assert tree == ref_tree
     assert rel_g.tolist() == ref_g.tolist() and rel_i.tolist() == ref_i.tolist()
+
+
+_PAIR_GROUPS = {
+    "A4": (lambda: catalog_group("A4"), (1, 2, 4)),
+    "Q8": (lambda: catalog_group("Q8"), (1, 2, 4)),
+    "witness i p=2": (lambda: build_group(composite_sha_witness(2, "i")[0]), (1, 2, 12, 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(_PAIR_GROUPS))
+def test_presentation_has_two_generators(name):
+    # the cohomology presentation is a generating pair with its own queue
+    # tree; G.gens and G.cayley_tree stay those of the greedy generators
+    make, gens = _PAIR_GROUPS[name]
+    G = make()
+    pair, tree, rel_g, rel_i = G.presentation
+    assert len(pair) == 2 and len(tree) == G.order - 1
+    assert closure_elements(G.mul, G.identity, pair) == tuple(range(G.order))
+    ref_tree, ref_g, ref_i = _queue_cayley_tree(G, pair)
+    assert tree == ref_tree
+    assert rel_g.tolist() == ref_g.tolist() and rel_i.tolist() == ref_i.tolist()
+    assert G.gens == gens and G.presentation[0] == make().presentation[0]
+    ref_tree, ref_g, ref_i = _queue_cayley_tree(G)
+    assert G.cayley_tree[0] == ref_tree and G.cayley_tree[1].tolist() == ref_g.tolist()
+
+
+def test_presentation_of_e8_needs_no_search(monkeypatch):
+    # an abelian group of exponent e and order above e^2 is not 2-generated:
+    # E8 keeps its three generators and walks no other tree
+    G = catalog_group("E8")
+    tree = G.cayley_tree
+    monkeypatch.setattr(groups, "_spanning_tree", lambda *args: pytest.fail("searched"))
+    monkeypatch.setattr(groups, "_power_table", lambda *args: pytest.fail("searched"))
+    assert G.presentation == (G.gens, *tree) and len(G.gens) == 3
+
+
+def test_presentation_falls_back_without_a_pair():
+    # Q8 x Z2 maps onto (Z/2)^3, so no pair generates it: the bounded search
+    # ends and the presentation keeps G.gens
+    G = direct_product(catalog_group("Q8"), catalog_group("Z2"))
+    assert len(G.gens) > 2 and G.presentation[0] == G.gens
+    assert G.presentation[1:] == G.cayley_tree
 
 
 @settings(max_examples=200, deadline=None)

@@ -281,6 +281,91 @@ def test_row_echelon_matches_dense_reference(case, batches):
     assert got.tolist() == want.tolist()
 
 
+# -- the candidate lattice and the list Smith against their references -------------------
+
+
+def _tall_int64(seed, n, big, prefix):
+    """A tall int64 matrix over the candidate-lattice cutoff: sparse random
+    rows with entries up to `big`, mixed with zero, repeated and negated
+    rows and differences of two earlier rows.  The first n rows are random,
+    zero, or multiples of one row, so they need not span the lattice."""
+    rng = np.random.default_rng(seed)
+    m = max(4 * n, -(-intmat._CANDIDATE_CELLS // n)) + int(rng.integers(0, 40))
+    A = rng.integers(-big, big + 1, size=(m, n)) * (rng.random((m, n)) < 0.4)
+    for i in range(1, m):
+        kind, j, k = rng.integers(0, 6), rng.integers(0, i), rng.integers(0, i)
+        if kind == 0:
+            A[i] = 0
+        elif kind == 1:
+            A[i] = A[j] * rng.choice([1, -1])
+        elif kind == 2 and max(abs(A[j]).max(), abs(A[k]).max()) < 2**61:
+            A[i] = A[j] - A[k]
+    if prefix == "zero":
+        A[:n] = 0
+    elif prefix == "rank one":
+        A[:n] = np.outer(rng.integers(-3, 4, size=n), A[n])
+    return A.astype(np.int64)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 8), st.sampled_from([1, 9, 2**20, 2**58]),
+       st.sampled_from(["random", "zero", "rank one"]))
+def test_candidate_basis_matches_row_echelon(seed, n, big, prefix):
+    # the candidate lattice gives the basis that every row through RowEchelon
+    # gives, entry for entry; an object copy takes the plain route to the same
+    A = _tall_int64(seed, n, big, prefix)
+    assert A.shape[0] >= 4 * n and A.size >= intmat._CANDIDATE_CELLS
+    want = bar_oracle.row_echelon_basis(A).tolist()
+    got = intmat.row_lattice_basis(A)
+    assert got.dtype == object and all(type(x) is int for x in got.flat)
+    assert got.tolist() == want
+    assert intmat.row_lattice_basis(A.astype(object)).tolist() == want
+
+
+def test_candidate_basis_needs_the_overflow_bound():
+    # against the basis (1, 2^32), (0, 3 * 2^32), the row (2^32, 0) gets
+    # a = (2^32, 0), and x - a B = (0, -2^64) wraps to 0 in int64; it is no
+    # member (3 * 2^32 does not divide 2^64), so the bound must refuse it
+    A = np.zeros((200, 2), dtype=np.int64)
+    A[:2] = [[1, 2**32], [0, 3 * 2**32]]
+    A[150] = [2**32, 0]
+    got = intmat.row_lattice_basis(A)
+    assert got.tolist() == bar_oracle.row_echelon_basis(A).tolist() == [[1, 0], [0, 2**32]]
+
+
+def _smith_cases():
+    def matrix(m, n):
+        entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2**70, 2**70))
+        return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)
+
+    shapes = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    return shapes.flatmap(lambda s: st.tuples(
+        matrix(*s).map(lambda rows, s=s: np.array(rows, dtype=object).reshape(s)),
+        st.booleans(), st.booleans(),
+        st.sampled_from([None, (s[0],), (s[0], 2)]).flatmap(
+            lambda shape: st.none() if shape is None else st.lists(
+                st.integers(-9, 9), min_size=math.prod(shape), max_size=math.prod(shape),
+            ).map(lambda xs, shape=shape: np.array(xs, dtype=object).reshape(shape)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_smith_cases(), st.booleans())
+def test_smith_matches_numpy_reference(case, as_int64):
+    # the list-of-ints reduction takes the numpy reduction's steps: the same
+    # invariant factors, Uinv, V and carry, entry for entry
+    A, want_uinv, want_v, carry = case
+    if as_int64 and all(abs(x) < 2**62 for x in A.flat):
+        A = A.astype(np.int64)
+    got = intmat.smith(A, want_uinv=want_uinv, want_v=want_v, carry=carry)
+    want = bar_oracle.numpy_smith(A, want_uinv=want_uinv, want_v=want_v, carry=carry)
+    assert got[0] == want[0]
+    for x, y in zip(got[1:], want[1:]):
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert x.dtype == object and x.shape == y.shape and x.tolist() == y.tolist()
+            assert all(type(v) is int for v in x.flat)
+
+
 # -- properties of the integer linear algebra ---------------------------------------------
 
 

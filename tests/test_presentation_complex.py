@@ -24,6 +24,7 @@ from normone.finab import FinAb
 from normone.groups import (
     all_subgroups,
     build_group,
+    direct_product,
     full_subgroup,
     subgroup_closure,
     sylow_subgroup,
@@ -68,8 +69,17 @@ def _bar_coboundary(lat, b):
 ORACLE_GROUPS = [(name, lambda name=name: catalog_group(name)) for name in catalog_names()]
 ORACLE_GROUPS += [("D6", d6), ("S4", s4)]
 
+# groups whose greedy generators are more than two: the presentation is a
+# generating pair (Q8 x Z3, A4 x Z2) or, when no pair exists, the generators
+# themselves (Q8 x Z2)
+PAIR_GROUPS = [
+    (f"{a}x{b}", lambda a=a, b=b: direct_product(catalog_group(a), catalog_group(b)))
+    for a, b in (("Q8", "Z3"), ("A4", "Z2"), ("Q8", "Z2"))
+]
 
-@pytest.mark.parametrize("name, make", ORACLE_GROUPS, ids=[n for n, _ in ORACLE_GROUPS])
+
+@pytest.mark.parametrize("name, make", ORACLE_GROUPS + PAIR_GROUPS,
+                         ids=[n for n, _ in ORACLE_GROUPS + PAIR_GROUPS])
 def test_matches_bar_oracle(name, make):
     # H^1, H^2 and Sha (dset none and the Sylow 2-subgroup) of J_{G/H} for
     # every subgroup class H, and of the induced lattices Z[G/H]
@@ -145,6 +155,51 @@ def test_sha_solves_one_stacked_kernel(monkeypatch):
     S2 = sylow_subgroup(G, 2)
     assert sha(G, lat, [S2]).structure.is_trivial()
     assert len(kernels) == 1 and restricts == [S2]
+
+
+# -- the integer kernels on real queries ---------------------------------------------
+
+
+def test_sha_kernels_match_reference_routes(monkeypatch):
+    # every Hermite basis and Smith form that a sha of J_{G/H} meets, for every
+    # catalog group, subgroup class H and dset none or the Sylow 2-subgroup,
+    # equals the plain RowEchelon basis and the numpy Smith; and sha run on
+    # those reference routes gives the same structure and generators
+    def run():
+        out = []
+        for name in catalog_names():
+            G = catalog_group(name)
+            for H in _subgroup_classes(G):
+                lat, _ = j_lattice(G, [(H, 1)])
+                for dset in ([], [sylow_subgroup(G, 2)]):
+                    S = sha(G, lat, dset)
+                    out.append((name, H.elements, len(dset), S.structure,
+                                [np.asarray(c).tolist() for c in S.generators]))
+        return out
+
+    fast = run()
+    basis, smith, seen = intmat.row_lattice_basis, intmat.smith, {"tall": 0, "smith": 0}
+
+    def checked_basis(A):
+        A = np.asarray(A)
+        want = bar_oracle.row_echelon_basis(A)
+        assert basis(A).tolist() == want.tolist()
+        seen["tall"] += (A.dtype == np.int64 and A.shape[0] >= 4 * A.shape[1]
+                         and A.size >= intmat._CANDIDATE_CELLS)
+        return want
+
+    def checked_smith(A, **kwargs):
+        got, want = smith(A, **kwargs), bar_oracle.numpy_smith(A, **kwargs)
+        assert got[0] == want[0]
+        for x, y in zip(got[1:], want[1:]):
+            assert (x is None and y is None) or x.tolist() == y.tolist()
+        seen["smith"] += 1
+        return want
+
+    monkeypatch.setattr(intmat, "row_lattice_basis", checked_basis)
+    monkeypatch.setattr(intmat, "smith", checked_smith)
+    assert run() == fast
+    assert seen["tall"] and seen["smith"]
 
 
 # -- the Schur multiplier -----------------------------------------------------------

@@ -320,7 +320,7 @@ def test_p_restriction_route():
 
 
 def test_budget_fallback_on_order_150():
-    # the order-150 pair's C^2 has 6314 columns; a budget of 2000 overflows
+    # the order-150 pair's C^2 has 2114 columns; a budget of 2000 overflows
     # it but not the Sylow restriction (364), so the brute path degrades and
     # the Sylow restriction confirms the p-part
     G, H, _ = build_semidirect(s3_standard_rep(5))
@@ -700,7 +700,7 @@ def test_diagonal_line_pair_with_eigenvalue_one_action():
     H = subgroup_closure(g100, [6])  # the diagonal line, order 5
     conds = p_part_conditions(g100, H, 5)
     assert not conds.all_abc  # the structural p-part vanishes here
-    # C^2 of the pair has 3819 columns and that of the Sylow restriction 494:
+    # C^2 of the pair has 1919 columns and that of the Sylow restriction 494:
     # a budget of 1000 sends the brute path to the Sylow fallback
     rep = sha_full(g100, H, 5, method="both", budget=1000)
     assert rep.brute_result is None
