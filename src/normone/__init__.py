@@ -39,7 +39,6 @@ from .cohomology import (
     ShaGroup,
     h1_character_kernel,
     is_coboundary,
-    restriction_class,
     sha,
     tate_cyclic,
 )

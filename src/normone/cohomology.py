@@ -13,11 +13,13 @@ needed.
 
 Explicit generating cocycles come out of the Smith transform: if
 U A V = D, the columns (A V e_i)/d_i are integral cocycles whose classes
-have exactly the orders d_i and generate the torsion.  They are reported as
-normalized bar cochains; in degree 2, c(g, h) sums the relator values over
-the non-tree edges crossed by the walk of w(h) from g.  Back from a bar
-2-cochain, relator (g, i) takes Phi(w(g) s_i) - Phi(w(g s_i)), where
-Phi(x_1...x_m) = sum_l c(x_1...x_l, x_{l+1}).
+have exactly the orders d_i and generate the torsion.  In degree 1 they are
+reported as normalized bar cochains, in degree 2 as their relator values,
+shape (R, r); they lie in the image of d^1 over Q, so d^2 kills them.  A
+bar value c(g, h) is read only where needed (`_bar_values`): it sums the
+relator values over the non-tree edges crossed by the walk of w(h) from g.
+Back from a bar 2-cochain, relator (g, i) takes Phi(w(g) s_i) - Phi(w(g s_i)),
+where Phi(x_1...x_m) = sum_l c(x_1...x_l, x_{l+1}).
 
 The restriction kernel `sha` needs only the maximal members of the dset up
 to conjugacy.  A cyclic member <g> of order m is restricted through the
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, EmptyFamily, GroupMismatch, NotCyclic
 from .finab import FinAb
-from .groups import abelianization, cyclic_subgroup_elements, cyclic_subgroups
+from .groups import abelianization, cyclic_subgroup_elements
 from .lattices import restrict
 from . import intmat
 
@@ -78,27 +80,38 @@ def _coboundary1(M):
     return d1.reshape(-1, k * r)
 
 
-def _bar_table(G, z):
-    """The bar 2-cochain of relator values z, shape (R, r) -> (n, n, r)."""
+def _bar_values(G, Z, x, y):
+    """c(x_j, y_j) of the bar 2-cochain whose relator values are Z, shape (R, ...).
+
+    The walk of w(y) from x crosses the edge (x g, i) for each tree edge
+    (g, i, h) on the path from 1 to y; c(x, y) sums Z over the non-tree
+    ones.  All pairs climb the tree from y at once; the identity is its own
+    parent, through a column of `slot` that reads a zero row.
+    """
     gens, tree, rg, ri = G.presentation
-    if _maxabs(z) * G.order < 2**31:  # a walk crosses < n edges; the
-        z = z.astype(np.int64)  # cocycle check's g.c(s, h) stays in int64
-    edge = np.zeros((G.order, len(gens)) + z.shape[1:], dtype=z.dtype)
-    edge[rg, ri] = z
-    c = np.zeros((G.order, G.order) + z.shape[1:], dtype=z.dtype)
+    n, k, R = G.order, len(gens), len(rg)
+    slot = np.full((n, k + 1), R)
+    slot[rg, ri] = np.arange(R)
+    Z = np.concatenate([Z, np.zeros((1,) + Z.shape[1:], dtype=Z.dtype)])
+    up, step = np.full(n, G.identity), np.full(n, k)
     for g, i, h in tree:
-        c[:, h] = c[:, g] + edge[G.mul[:, g], i]
+        up[h], step[h] = g, i
+    x, y = np.asarray(x), np.asarray(y)
+    c = np.zeros((len(y),) + Z.shape[1:], dtype=Z.dtype)
+    while (y != G.identity).any():
+        c += Z[slot[G.mul[x, up[y]], step[y]]]
+        y = up[y]
     return c
 
 
-def _relator_values(G, c):
-    """Relator values Phi(w(g) s_i) - Phi(w(g s_i)) of a bar 2-cochain."""
+def _relator_values(G, cs):
+    """Relator values Phi(w(g) s_i) - Phi(w(g s_i)) of a bar 2-cochain c,
+    from its values cs[g, i] = c(g, s_i) on the presentation generators."""
     gens, tree, rg, ri = G.presentation
-    U = np.zeros((G.order,) + c.shape[2:], dtype=c.dtype)  # U(g) = Phi(w(g))
+    U = np.zeros((G.order,) + cs.shape[2:], dtype=cs.dtype)  # U(g) = Phi(w(g))
     for g, i, h in tree:
-        U[h] = U[g] + c[g, gens[i]]
-    rs = np.array(gens)[ri]
-    return U[rg] + c[rg, rs] - U[G.mul[rg, rs]]
+        U[h] = U[g] + cs[g, i]
+    return U[rg] + cs[rg, ri] - U[G.mul[rg, np.array(gens)[ri]]]
 
 
 def _bar_coboundary(M, b):
@@ -107,41 +120,14 @@ def _bar_coboundary(M, b):
     return gb - b[M.group.mul] + b[:, None, :]
 
 
-def cocycle2_defect(M, c):
-    """0 iff c is a normalized 2-cocycle; otherwise a positive defect.
-
-    c has shape (n, n, r).  After the normalization check c(e, .) =
-    c(., e) = 0 this is Light's test on the extension M x_c G:
-    d c(g, s, h) = g.c(s, h) - c(gs, h) + c(g, sh) - c(g, s) for each
-    generator s and all g, h.  Exact: the middle elements that pass are
-    closed under products, and the elements of M and the generators of G
-    pass and generate the extension.  Where (r max|act| + 3) max|c| < 2^53
-    the test runs in float64, so the products g.c(s, h) use BLAS: that
-    bounds every partial sum, so each value is an exact integer.  Otherwise
-    it runs in c's own dtype (numpy multiplies int64 without BLAS).
-    """
-    G = M.group
-    c = np.asarray(c)
-    defect = max(_maxabs(c[G.identity]), _maxabs(c[:, G.identity]))
-    exact = (M.rank * _maxabs(M.act) + 3) * _maxabs(c) < 2**53
-    if exact and c.dtype == object:
-        c = c.astype(np.int64)
-    act = M.act.astype(np.float64) if exact else M.act
-    for s in G.presentation[0]:
-        cs = c[s].T.astype(np.float64) if exact else c[s].T
-        gc = np.matmul(act, cs).transpose(0, 2, 1)  # [g, h] = g.c(s, h)
-        d = gc - c[G.mul[:, s]] + c[:, G.mul[s]] - c[:, s][:, None, :]
-        defect = max(defect, _maxabs(d))
-    return defect
-
-
 class CohomologyGroup:
     """H^j(G, M) for j in {0, 1, 2} with explicit generating cocycles.
 
     Degree 0 carries the free rank and a basis of the fixed sublattice;
     degrees 1 and 2 carry a FinAb structure together with one generating
-    cocycle per invariant factor (generators[i] has order structure[i]),
-    as a normalized bar cochain: shape (n, r) in degree 1, (n, n, r) in 2.
+    cocycle per invariant factor (generators[i] has order structure[i]):
+    in degree 1 a normalized bar cochain of shape (n, r), in degree 2 its
+    values on the relators of `G.presentation`, shape (R, r).
     """
 
     __slots__ = ("degree", "group", "lattice", "structure", "free_rank", "generators")
@@ -219,22 +205,8 @@ def cohomology(G, M, degree, budget=DEFAULT_COCHAIN_BUDGET):
 
     d1 = _coboundary1(M)
     orders, vecs = _torsion_with_generators(d1, d1)
-    gens = []
-    for v in vecs:
-        c = _bar_table(G, v.reshape(-1, r))
-        if cocycle2_defect(M, c):
-            raise ArithmeticError("extracted generator is not a cocycle")
-        gens.append(c)
+    gens = [v.reshape(-1, r) for v in vecs]
     return CohomologyGroup(2, G, M, structure=FinAb(tuple(orders)), generators=gens)
-
-
-def restriction_class(c, D):
-    """Restrict a degree-2 bar cocycle table over G to D-local indexing.
-
-    On bar cochains the restriction map is literal function restriction.
-    """
-    elems = np.array(D.elements, dtype=np.int64)
-    return np.asarray(c)[np.ix_(elems, elems)].astype(object)
 
 
 def is_coboundary(D, M, c):
@@ -242,7 +214,8 @@ def is_coboundary(D, M, c):
 
     `c` is a bar table in D-local element indexing, shape (|D|, |D|, rank);
     `M` is the ambient G-lattice (it is restricted internally).  The
-    relator values of c are solved against d^1 of D's presentation complex,
+    relator values of c, read from c(g, s) for the presentation generators
+    s, are solved against d^1 of D's presentation complex,
     and the witness, a normalized bar 1-cochain b with d b = c in D-local
     indexing, is rebuilt along the spanning tree by
     b(g s) = g.b(s) + b(g) - c(g, s) and checked exactly.
@@ -256,14 +229,15 @@ def is_coboundary(D, M, c):
         ok = not np.any(c)
         return ok, (np.zeros((sub.order, r), dtype=object) if ok else None)
     c = np.array(c, dtype=object)
-    f = intmat.solve(_coboundary1(RM), _relator_values(sub, c).reshape(-1))
+    gens, tree, _, _ = sub.presentation
+    cs = c[:, list(gens)]
+    f = intmat.solve(_coboundary1(RM), _relator_values(sub, cs).reshape(-1))
     if f is None:
         return False, None
-    gens, tree, _, _ = sub.presentation
     f = f.reshape(len(gens), r)
     b = np.zeros((sub.order, r), dtype=object)
     for g, i, h in tree:
-        b[h] = RM.act[g] @ f[i] + b[g] - c[g, gens[i]]
+        b[h] = RM.act[g] @ f[i] + b[g] - cs[g, i]
     if np.any(_bar_coboundary(RM, b) != c):  # c is not even a cocycle
         return False, None
     return True, b
@@ -322,11 +296,6 @@ class ShaGroup:
         self.structure = structure
         self.generators = list(generators)
 
-    @property
-    def dset_closed(self):
-        """The closed dset as subgroup handles (`close_dset`), built on access."""
-        return close_dset(self.base.group, self.dset_raw)
-
     def __repr__(self):
         return f"Sha^2 = {self.structure}"
 
@@ -339,14 +308,9 @@ def dset_members(G, dset):
     return dset
 
 
-def close_dset(G, dset):
-    """Augment a family of subgroups with all cyclic subgroups, dedupe, sort."""
-    seen = {h.elements: h for h in (*dset_members(G, dset), *cyclic_subgroups(G))}
-    return sorted(seen.values(), key=lambda h: (h.order, h.elements))
-
-
 def closed_dset_elements(G, dset):
-    """The element tuples of `close_dset(G, dset)`, without a handle per cyclic subgroup."""
+    """The element tuples of the closed dset: the family augmented with all
+    cyclic subgroups, deduplicated and sorted by (order, elements)."""
     closed = {*(h.elements for h in dset_members(G, dset)), *cyclic_subgroup_elements(G)}
     return sorted(closed, key=lambda e: (len(e), e))
 
@@ -400,28 +364,35 @@ def _restriction_lattice(G, M, base, dset):
     value of a bar cocycle c is z = sum_i c(g^i, g), so H^2(D, M) = M^D / N M
     and c restricts to 0 iff z lies in N M.  A non-cyclic member D is
     restricted to its own presentation complex: the relator values C_D of
-    the generators against D's d^1.  The blocks [z_j | N] and [C_D | d^1_D]
-    share the columns of a and each have their own for a 1-cochain f_D, so
-    one kernel of the block-diagonal stack, projected onto a, is the
-    intersection over all members at once.
+    the generators, read from c(a, s) for a in D and s among D's
+    presentation generators, against D's d^1.  The bar values come from
+    `_bar_values` on the stacked generators, one climb for all cyclic
+    members and one per non-cyclic member.  The blocks [z_j | N] and
+    [C_D | d^1_D] share the columns of a and each have their own for a
+    1-cochain f_D, so one kernel of the block-diagonal stack, projected
+    onto a, is the intersection over all members at once.
     """
     kcount = len(base.generators)
     cyclic, noncyclic = _restriction_members(G, dset)
     if any(D.order == G.order for D in noncyclic):  # restriction to G is injective
         return np.diag(np.array(base.structure.factors, dtype=object))
+    Z = np.stack(base.generators, axis=-1)  # (R, r, kcount)
+    if _maxabs(Z) * 2 * G.order**2 < 2**63:  # each value below sums < 2n^2 entries of Z
+        Z = Z.astype(np.int64)
     blocks = []  # (relator values of the generators, d^1 of the member)
-    for g in cyclic:
-        cyc = G.powers[g, : G.element_orders[g]]
-        z = np.stack([c[cyc[1:], g].sum(axis=0) for c in base.generators], axis=1)
-        blocks.append((z, M.act[cyc].sum(axis=0)))
+    cycles = [G.powers[g, : G.element_orders[g]] for g in cyclic]
+    if cycles:
+        sizes = [len(cyc) for cyc in cycles]
+        values = _bar_values(G, Z, np.concatenate(cycles), np.repeat(cyclic, sizes))
+        for cyc, v in zip(cycles, np.split(values, np.cumsum(sizes)[:-1])):
+            blocks.append((v.sum(axis=0), M.act[cyc].sum(axis=0)))
     for D in noncyclic:
         RM = restrict(M, D)
-        C = np.stack(
-            [_relator_values(RM.group, restriction_class(c, D)).reshape(-1)
-             for c in base.generators],
-            axis=1,
-        )
-        blocks.append((C, _coboundary1(RM)))
+        sub, elems = RM.group, np.array(D.elements)
+        gens = elems[list(sub.presentation[0])]
+        cs = _bar_values(G, Z, np.repeat(elems, len(gens)), np.tile(gens, sub.order))
+        cs = cs.reshape(sub.order, len(gens), *Z.shape[1:])
+        blocks.append((_relator_values(sub, cs).reshape(-1, kcount), _coboundary1(RM)))
     rows = sum(C.shape[0] for C, _ in blocks)
     cols = kcount + sum(d1.shape[1] for _, d1 in blocks)
     stack = np.zeros((rows, cols), dtype=np.result_type(*(x for b in blocks for x in b)))
@@ -443,7 +414,8 @@ def sha(G, M, dset, budget=DEFAULT_COCHAIN_BUDGET):
     a non-cyclic one through its own presentation complex, and one kernel
     of the stacked conditions of all members (`_restriction_lattice`)
     gives the coefficient lattice of the kernel.  Its quotient by the
-    orders of the H^2 generators is Sha.
+    orders of the H^2 generators is Sha, whose generators are sums of the
+    H^2 generators in relator form.
     """
     base = cohomology(G, M, 2, budget)
     raw = dset_members(G, dset)

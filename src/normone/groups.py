@@ -186,9 +186,11 @@ class FiniteGroup:
         Deterministic, and bounded to `tries` spanning trees: x runs over
         the elements of maximal order, y over the elements outside <x> by
         decreasing order, each once per cyclic subgroup, skipping a y that
-        commutes with x in a non-abelian group; a pair is accepted when its
-        tree reaches every element.  An abelian group with exponent e and
-        e^2 < n is not searched: a 2-generated one is Z/a x Z/b, b | a = e.
+        commutes with x in a non-abelian group.  The x take turns, one y
+        each, so no single x (one on an eigenline, say) spends the whole
+        bound; a pair is accepted when its tree reaches every element.  An
+        abelian group with exponent e and e^2 < n is not searched: a
+        2-generated one is Z/a x Z/b, b | a = e.
         """
         n, mul, orders = self.order, self.mul, self.element_orders
         abelian = bool((mul == mul.T).all())
@@ -196,19 +198,26 @@ class FiniteGroup:
             return None
         reps = _cyclic_generators(self)[1:]  # [0] is the identity
         reps = reps[np.argsort(-orders[reps], kind="stable")].tolist()
-        for x in reps:
-            if orders[x] < orders[reps[0]]:
-                break
+
+        def partners(x):  # <x, y> would be <x> or abelian for the others
             inside = set(self.powers[x, : orders[x]].tolist())
-            for y in reps:
-                if y in inside or not abelian and mul[x, y] == mul[y, x]:
-                    continue  # <x, y> would be <x> or abelian
+            return (y for y in reps if y not in inside and (abelian or mul[x, y] != mul[y, x]))
+
+        turns = [(x, partners(x)) for x in reps if orders[x] == orders[reps[0]]]
+        while turns:
+            waiting = []
+            for x, ys in turns:
+                y = next(ys, None)
+                if y is None:
+                    continue
                 if tries == 0:
                     return None
                 tries -= 1
                 tree = _spanning_tree(mul, self.identity, (x, y))
                 if len(tree[0]) == n - 1:
                     return ((x, y), *tree)
+                waiting.append((x, ys))
+            turns = waiting
         return None
 
     def elements(self):

@@ -15,6 +15,7 @@ not marked full-only.  The criteria, by number:
   11 shapiro-and-induced-kernels: H^2 of an induced lattice is H^ab; Sha is 0
   12 lagrange-and-double-cosets: Lagrange and the double-coset size law
   13 h1-character-oracle: H^1 of J equals the character kernel
+  14 degree-55-brute: at degree 55 both paths give Sha = Z/11
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .finab import FinAb, _factorize
 from .groups import (abelianization, all_subgroups, build_group, cyclic_subgroups, double_cosets,
                      is_prime, subgroup_closure, sylow_subgroup, trivial_subgroup)
 from .lattices import induced_perm_lattice, j_lattice
-from .reps import d_membership, exhaustive_scan, s_min, sylow2_gl2
+from .reps import build_semidirect, d_membership, exhaustive_scan, s_min, sylow2_gl2, witness_rep
 from .structure import (composite_sha_witness, p_part_conditions, sha_bicyclic, sha_full,
                         sha_p_part, sha_prime_index_family)
 
@@ -197,6 +198,14 @@ def _witness36(budget):
     return f"result {rep.result}"
 
 
+def _degree55(budget):
+    G, H, _ = build_semidirect(witness_rep(11, 5))
+    rep = sha_full(G, H, 11, method="both", budget=budget)
+    assert rep.brute_result == rep.theorem_result == FinAb.cyclic(11), rep.brute_result
+    assert rep.agreement, rep.warnings
+    return f"order {G.order}, result {rep.result}"
+
+
 CHECKS = [  # (name, full scope only, fn(budget) -> detail)
     ("lagrange-and-double-cosets", False, _lagrange_and_cosets),
     ("degree-table", False, _degree_table),
@@ -210,6 +219,7 @@ CHECKS = [  # (name, full scope only, fn(budget) -> detail)
     ("representation-scans", True, _scan_battery),
     ("carter-fong-orders", True, _carter_fong),
     ("composite-witness-36", True, _witness36),
+    ("degree-55-brute", True, _degree55),
 ]
 
 

@@ -10,7 +10,11 @@ member's own presentation complex and one lattice intersection per member.
 `row_echelon_basis` and `numpy_smith` are the integer kernels that
 normone.intmat's candidate-lattice Hermite basis and list-of-ints Smith
 reduction replaced: every row through `RowEchelon`, and the same Smith
-pivot rule and operations on object arrays.
+pivot rule and operations on object arrays.  `bar_table` expands a
+degree-2 cocycle of normone.cohomology, given by its relator values, into
+the whole n x n bar table, which `restriction_class` restricts to a
+subgroup and `cocycle2_defect` checks; `close_dset` is the closed dset as
+subgroup handles.
 Tests only; nothing in normone imports it.
 """
 
@@ -23,11 +27,12 @@ from normone.cohomology import (
     CohomologyGroup,
     ShaGroup,
     _coboundary1,
+    _maxabs,
     _relator_values,
-    close_dset,
-    restriction_class,
+    dset_members,
 )
 from normone.finab import FinAb
+from normone.groups import cyclic_subgroups
 from normone.lattices import restrict
 
 
@@ -105,6 +110,34 @@ def cocycle2_defect(M, c):
     t2 = c[:, G.mul]  # [g,h,k,:] = c(g, hk)
     defect = gc - t1 + t2 - c[:, :, None, :]
     return int(np.abs(defect).max()) if defect.size else 0
+
+
+def bar_table(G, z):
+    """The bar 2-cochain of relator values z, shape (R, r) -> (n, n, r)."""
+    gens, tree, rg, ri = G.presentation
+    if _maxabs(z) * G.order < 2**31:  # a walk crosses < n edges; the
+        z = z.astype(np.int64)  # cocycle check's g.c(s, h) stays in int64
+    edge = np.zeros((G.order, len(gens)) + z.shape[1:], dtype=z.dtype)
+    edge[rg, ri] = z
+    c = np.zeros((G.order, G.order) + z.shape[1:], dtype=z.dtype)
+    for g, i, h in tree:
+        c[:, h] = c[:, g] + edge[G.mul[:, g], i]
+    return c
+
+
+def restriction_class(c, D):
+    """Restrict a degree-2 bar cocycle table over G to D-local indexing.
+
+    On bar cochains the restriction map is literal function restriction.
+    """
+    elems = np.array(D.elements, dtype=np.int64)
+    return np.asarray(c)[np.ix_(elems, elems)].astype(object)
+
+
+def close_dset(G, dset):
+    """Augment a family of subgroups with all cyclic subgroups, dedupe, sort."""
+    seen = {h.elements: h for h in (*dset_members(G, dset), *cyclic_subgroups(G))}
+    return sorted(seen.values(), key=lambda h: (h.order, h.elements))
 
 
 def embed_cochain2(G, arr):
@@ -319,7 +352,8 @@ def restriction_lattice(G, M, base, dset):
     """Hermite basis of the coefficient lattice of the kernel of restriction
     from `base` = H^2(G, M) (normone's generators) to every member of the
     closed dset, member by member: for each D of `_effective_dset`, the
-    kernel of [C_D | d^1_D] on D's own presentation complex, projected onto
+    kernel of [C_D | d^1_D] on D's own presentation complex, C_D read from
+    the restricted whole bar table of each generator, projected onto
     the H^2 coordinates, intersected with the conditions so far.
     """
     kcount = len(base.generators)
@@ -332,8 +366,9 @@ def restriction_lattice(G, M, base, dset):
             continue
         else:
             RM = restrict(M, D)
+            gens = list(RM.group.presentation[0])
             C = np.stack(
-                [_relator_values(RM.group, restriction_class(c, D)).reshape(-1)
+                [_relator_values(RM.group, restriction_class(bar_table(G, c), D)[:, gens]).reshape(-1)
                  for c in base.generators],
                 axis=1,
             )

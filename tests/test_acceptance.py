@@ -30,6 +30,7 @@ CRITERIA = {
     "shapiro-and-induced-kernels": (11, "induced_lattice_identities", 300),
     "lagrange-and-double-cosets": (12, "lagrange_and_double_cosets", 60),
     "h1-character-oracle": (13, "h1_character_oracle", 60),
+    "degree-55-brute": (14, "degree55_brute", 60),
 }
 
 BATTERY = {name: fn for name, _, fn in selftest.CHECKS}

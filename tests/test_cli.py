@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bar_oracle import close_dset
 from normone.cli import (
     DSET_MAX_ROWS,
     EXIT_BUDGET,
@@ -29,7 +30,7 @@ from normone.catalog import (
     cyclic_spec,
     symmetric3_spec,
 )
-from normone.cohomology import close_dset, closed_dset_elements
+from normone.cohomology import closed_dset_elements
 from normone.errors import ParseError, SchemaError
 from normone.groups import build_group
 from normone.structure import sha_full

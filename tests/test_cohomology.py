@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from bar_oracle import apply_coboundary1
+from bar_oracle import apply_coboundary1, bar_table, close_dset, cocycle2_defect, restriction_class
 from normone.catalog import a4_shape_spec, catalog_group, cyclic_spec
 from normone.cohomology import (
-    cocycle2_defect,
+    closed_dset_elements,
     cohomology,
     h1_character_kernel,
     is_coboundary,
-    restriction_class,
     sha,
     tate_cyclic,
 )
@@ -68,11 +67,12 @@ def test_generators_are_exact_cocycles_with_exact_orders():
     h2 = cohomology(G, lat, 2)
     assert h2.structure == FinAb.cyclic(2)
     for order, gen in zip(h2.structure.factors, h2.generators):
-        assert cocycle2_defect(lat, np.array(gen, dtype=np.int64)) == 0
-        ok, _ = is_coboundary(full_subgroup(G), lat, np.array(gen, dtype=object))
+        c = bar_table(G, gen)
+        assert cocycle2_defect(lat, c) == 0
+        ok, _ = is_coboundary(full_subgroup(G), lat, np.array(c, dtype=object))
         assert not ok  # the class itself is nonzero
         ok, _ = is_coboundary(
-            full_subgroup(G), lat, order * np.array(gen, dtype=object)
+            full_subgroup(G), lat, order * np.array(c, dtype=object)
         )
         assert ok  # its order kills it
 
@@ -154,7 +154,7 @@ def test_restriction_to_trivial_and_full():
     G = catalog_group("V4")
     lat, _ = j_lattice(G, [(trivial_subgroup(G), 1)])
     h2 = cohomology(G, lat, 2)
-    gen = np.array(h2.generators[0], dtype=object)
+    gen = np.array(bar_table(G, h2.generators[0]), dtype=object)
     r = restriction_class(gen, trivial_subgroup(G))
     assert not np.any(r)
     r = restriction_class(gen, full_subgroup(G))
@@ -174,7 +174,7 @@ def test_nontrivial_class_of_z2_not_coboundary():
     lat = trivial_lattice(G, 1)
     h2 = cohomology(G, lat, 2)
     assert h2.structure == FinAb.cyclic(2)
-    ok, _ = is_coboundary(full_subgroup(G), lat, np.array(h2.generators[0], dtype=object))
+    ok, _ = is_coboundary(full_subgroup(G), lat, np.array(bar_table(G, h2.generators[0]), dtype=object))
     assert not ok
 
 
@@ -183,8 +183,8 @@ def test_sha_generators_restrict_to_coboundaries():
     lat, _ = j_lattice(G, [(subgroup_closure(G, [1]), 1)])
     S = sha(G, lat, [])
     assert S.structure == FinAb.cyclic(2)
-    for D in S.dset_closed:
-        c = restriction_class(S.generators[0], D)
+    for D in close_dset(G, S.dset_raw):
+        c = restriction_class(bar_table(G, S.generators[0]), D)
         ok, wit = is_coboundary(D, lat, c)
         assert ok
         if wit is not None and D.order > 1:
@@ -254,7 +254,7 @@ def test_sha_records_raw_and_closed_dsets():
     S2 = sylow_subgroup(G, 2)
     out = sha(G, lat, [S2])
     assert [d.elements for d in out.dset_raw] == [S2.elements]
-    assert len(out.dset_closed) == len(cyclic_subgroups(G)) + 1
+    assert len(closed_dset_elements(G, out.dset_raw)) == len(cyclic_subgroups(G)) + 1
 
 
 def test_inflation_invariance():

@@ -46,7 +46,7 @@ from normone.groups import (
     vector_index,
 )
 from normone import groups
-from normone.reps import _gl2_group, s3_standard_rep
+from normone.reps import _gl2_group, build_semidirect, s3_standard_rep, witness_rep
 from normone.structure import composite_sha_witness
 
 
@@ -812,6 +812,9 @@ _PAIR_GROUPS = {
     "A4": (lambda: catalog_group("A4"), (1, 2, 4)),
     "Q8": (lambda: catalog_group("Q8"), (1, 2, 4)),
     "witness i p=2": (lambda: build_group(composite_sha_witness(2, "i")[0]), (1, 2, 12, 4)),
+    # its first x of maximal order lies on an eigenline of the acting
+    # element, so no y pairs with it: the x must take turns
+    "degree 55": (lambda: build_semidirect(witness_rep(11, 5))[0], (1, 11, 121)),
 }
 
 
@@ -830,6 +833,46 @@ def test_presentation_has_two_generators(name):
     assert G.gens == gens and G.presentation[0] == make().presentation[0]
     ref_tree, ref_g, ref_i = _queue_cayley_tree(G)
     assert G.cayley_tree[0] == ref_tree and G.cayley_tree[1].tolist() == ref_g.tolist()
+
+
+# the presentation generators of every catalog group and of the composite
+# witnesses (p, variant, ell), pinned at the values of the search in which
+# the first x of maximal order took every try
+_PINNED_PRESENTATIONS = {
+    "Z1": (),
+    "Z2": (1,),
+    "Z3": (1,),
+    "Z4": (1,),
+    "Z6": (3, 1),
+    "Z8": (1,),
+    "Z12": (1,),
+    "V4": (2, 1),
+    "Z2xZ4": (4, 1),
+    "Z3xZ3": (3, 1),
+    "E8": (4, 2, 1),
+    "S3": (3, 2),
+    "D4": (3, 4),
+    "Q8": (2, 4),
+    "A4": (4, 5),
+}
+_PINNED_WITNESS_PRESENTATIONS = {
+    (2, "i", None): (5, 12),
+    (5, "i", None): (26, 75),
+    (7, "i", None): (50, 147),
+    (5, "ii", 2): (26, 100),
+}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_presentations_are_pinned(name):
+    assert catalog_group(name).presentation[0] == _PINNED_PRESENTATIONS[name]
+
+
+@pytest.mark.parametrize("key", list(_PINNED_WITNESS_PRESENTATIONS),
+                         ids=[f"{v}-{p}-{e}" for p, v, e in _PINNED_WITNESS_PRESENTATIONS])
+def test_witness_presentations_are_pinned(key):
+    G = build_group(composite_sha_witness(*key)[0], order_budget=4096)
+    assert G.presentation[0] == _PINNED_WITNESS_PRESENTATIONS[key]
 
 
 def test_presentation_of_e8_needs_no_search(monkeypatch):
