@@ -29,16 +29,12 @@ from .lattices import (
     direct_sum,
     induced_perm_lattice,
     j_lattice,
-    mackey_decompose,
     restrict,
-    trivial_lattice,
-    twist,
 )
 from .cohomology import (
     CohomologyGroup,
     ShaGroup,
     h1_character_kernel,
-    is_coboundary,
     sha,
     tate_cyclic,
 )
@@ -55,17 +51,13 @@ from .structure import (
     sha_full,
     sha_p_part,
     sha_prime_index_family,
-    sha_prime_to_p,
 )
 from .reps import (
     DMembership,
     RepTwoDim,
     build_semidirect,
-    check_bc,
     d_membership,
     exhaustive_scan,
-    reps_of_cyclic,
-    s3_standard_rep,
     s_min,
     sylow2_gl2,
     witness_rep,

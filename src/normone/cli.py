@@ -161,9 +161,12 @@ def _budget():
     if not env:
         return DEFAULT_COCHAIN_BUDGET
     try:
-        return int(env)
+        budget = int(env)
     except ValueError:
         raise SchemaError(f"SHA_BUDGET must be an integer, got {env!r}") from None
+    if budget < 1:
+        raise SchemaError(f"SHA_BUDGET must be positive, got {budget}")
+    return budget
 
 
 def _report(command, inputs, results, warnings=(), budgets=None, timing=None, **provenance):

@@ -114,12 +114,6 @@ def _relator_values(G, cs):
     return U[rg] + cs[rg, ri] - U[G.mul[rg, np.array(gens)[ri]]]
 
 
-def _bar_coboundary(M, b):
-    """(d b)(g, h) = g.b(h) - b(gh) + b(g) for a bar 1-cochain b of shape (n, r)."""
-    gb = np.matmul(M.act, b.T).transpose(0, 2, 1)  # [g, h] = g.b(h)
-    return gb - b[M.group.mul] + b[:, None, :]
-
-
 class CohomologyGroup:
     """H^j(G, M) for j in {0, 1, 2} with explicit generating cocycles.
 
@@ -209,46 +203,13 @@ def cohomology(G, M, degree, budget=DEFAULT_COCHAIN_BUDGET):
     return CohomologyGroup(2, G, M, structure=FinAb(tuple(orders)), generators=gens)
 
 
-def is_coboundary(D, M, c):
-    """Decide whether a 2-cocycle over D bounds; return (flag, witness).
-
-    `c` is a bar table in D-local element indexing, shape (|D|, |D|, rank);
-    `M` is the ambient G-lattice (it is restricted internally).  The
-    relator values of c, read from c(g, s) for the presentation generators
-    s, are solved against d^1 of D's presentation complex,
-    and the witness, a normalized bar 1-cochain b with d b = c in D-local
-    indexing, is rebuilt along the spanning tree by
-    b(g s) = g.b(s) + b(g) - c(g, s) and checked exactly.
-    """
-    RM = restrict(M, D) if M.group is D.parent else M
-    sub, r = RM.group, RM.rank
-    c = np.asarray(c)
-    if c.shape != (sub.order, sub.order, r):
-        raise ValueError("cocycle table has wrong shape")
-    if sub.order == 1 or r == 0:
-        ok = not np.any(c)
-        return ok, (np.zeros((sub.order, r), dtype=object) if ok else None)
-    c = np.array(c, dtype=object)
-    gens, tree, _, _ = sub.presentation
-    cs = c[:, list(gens)]
-    f = intmat.solve(_coboundary1(RM), _relator_values(sub, cs).reshape(-1))
-    if f is None:
-        return False, None
-    f = f.reshape(len(gens), r)
-    b = np.zeros((sub.order, r), dtype=object)
-    for g, i, h in tree:
-        b[h] = RM.act[g] @ f[i] + b[g] - cs[g, i]
-    if np.any(_bar_coboundary(RM, b) != c):  # c is not even a cocycle
-        return False, None
-    return True, b
-
-
 def tate_cyclic(D, M, j):
     """Tate cohomology of a cyclic group, period 2.
 
     Even j: (fixed points)/(norm image); odd j: ker(norm)/im(sigma - 1),
     where sigma is the least generator of the acting cyclic group.  M must
-    be defined over D itself (e.g. produced by `restrict`).
+    be defined over D itself (e.g. produced by `restrict`); a lattice over
+    a non-cyclic group of the same order raises GroupMismatch.
     """
     sub = M.group
     if sub.order != D.order:
@@ -258,7 +219,9 @@ def tate_cyclic(D, M, j):
     n, r = sub.order, M.rank
     if r == 0:
         return FinAb.trivial()
-    sigma = next(g for g in sub.elements() if sub.element_order(g) == n)
+    sigma = next((g for g in sub.elements() if sub.element_order(g) == n), None)
+    if sigma is None:
+        raise GroupMismatch("the lattice's group is not cyclic")
     A = M.act[sigma].astype(object)
     eye = np.eye(r, dtype=object)
     norm = np.zeros((r, r), dtype=object)

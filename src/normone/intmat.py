@@ -339,12 +339,6 @@ def kernel_basis(A):
     return V[:, len(diag):]
 
 
-def solve(A, b):
-    """One integer solution x of A @ x = b, or None if none exists."""
-    X = solve_many(A, np.asarray(b).reshape(-1, 1))
-    return None if X is None else X[:, 0]
-
-
 def solve_many(A, B):
     """Solve A @ X = B over the integers; None if any column has no solution."""
     A = np.array(A, dtype=object)
@@ -353,7 +347,7 @@ def solve_many(A, B):
         B = B.reshape(-1, 1)
     m, n = A.shape
     if B.shape[0] != m:
-        raise ValueError("shape mismatch in solve")
+        raise ValueError("shape mismatch in solve_many")
     if n == 0:
         return np.zeros((0, B.shape[1]), dtype=object) if not np.any(B) else None
     diag, _, V, Y = smith(A, want_v=True, carry=B)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyFamily, GroupMismatch, SpecInvalid
-from .groups import SubgroupHandle, double_cosets
 from . import intmat
 
 
@@ -36,9 +35,9 @@ class GLattice:
     are verified unimodular, which propagates to all elements.
     """
 
-    __slots__ = ("group", "rank", "act", "label", "subgroup")
+    __slots__ = ("group", "rank", "act", "label")
 
-    def __init__(self, group, act, label="", subgroup=None, validate=True):
+    def __init__(self, group, act, label="", validate=True):
         act = np.asarray(act, dtype=np.int64)
         if act.ndim != 3 or act.shape[0] != group.order or act.shape[1] != act.shape[2]:
             raise SpecInvalid("action array must be (order, rank, rank)")
@@ -46,7 +45,6 @@ class GLattice:
         self.rank = int(act.shape[1])
         self.act = act
         self.label = label
-        self.subgroup = subgroup
         if validate:
             self._validate()
 
@@ -62,9 +60,6 @@ class GLattice:
             prod = act @ act[s]  # (n, r, r): g -> act[g] @ act[s]
             if not (prod == act[G.mul[:, s]]).all():
                 raise SpecInvalid("action is not a homomorphism")
-
-    def action(self, g):
-        return self.act[int(g)]
 
     def __repr__(self):
         return f"GLattice(rank {self.rank} over {self.group.label or self.group.order})"
@@ -89,16 +84,6 @@ class LatticeMap:
             right = np.einsum("ij,njk->nik", matrix, source.act)
             if not (left == right).all():
                 raise SpecInvalid("lattice map is not equivariant")
-
-    def __call__(self, vec):
-        return self.matrix @ np.asarray(vec)
-
-
-def trivial_lattice(G, rank):
-    if rank < 0:
-        raise SpecInvalid("rank must be nonnegative")
-    act = np.broadcast_to(np.eye(rank, dtype=np.int64), (G.order, rank, rank)).copy()
-    return GLattice(G, act, label=f"Z^{rank}", validate=False)
 
 
 def coset_table(G, H):
@@ -183,76 +168,4 @@ def restrict(M, D):
         raise GroupMismatch("subgroup does not live in the lattice's group")
     sub, elems = D.as_group()
     act = M.act[np.array(elems, dtype=np.int64)]
-    return GLattice(sub, act, label=f"{M.label}|{D.order}", subgroup=D, validate=False)
-
-
-def twist(M, g):
-    """Conjugate module M^g over gHg^{-1}: x acts as g^{-1}xg did on M.
-
-    M must carry an ambient subgroup handle (as produced by `restrict`).
-    """
-    if M.subgroup is None:
-        raise SpecInvalid("twist needs a lattice with an ambient subgroup handle")
-    H = M.subgroup
-    amb = H.parent
-    g = int(g)
-    K = H.conjugate(g)
-    ginv = int(amb.inv[g])
-    pos = {x: i for i, x in enumerate(H.elements)}
-    act = np.zeros((K.order, M.rank, M.rank), dtype=np.int64)
-    for i, y in enumerate(K.elements):
-        act[i] = M.act[pos[amb.conj(ginv, y)]]
-    sub, _ = K.as_group()
-    return GLattice(sub, act, label=f"{M.label}^g", subgroup=K, validate=False)
-
-
-def mackey_decompose(G, H, D):
-    """Split restrict(Ind_H Z, D) into one coset-permutation block per
-    double coset DgH, with the identification as an explicit unimodular
-    equivariant map.
-
-    Returns (summands, change_of_basis) where summands is a list of
-    (representative g, D ∩ gHg^{-1} as a subgroup of G) and the map goes
-    from the restricted induced lattice to the direct sum of the blocks.
-    """
-    ind, reps = induced_perm_lattice(G, H)
-    restricted = restrict(ind, D)
-    sub, d_elems = D.as_group()
-    d_pos = {x: i for i, x in enumerate(d_elems)}
-    hset = set(H.elements)
-
-    summands = []
-    blocks = []
-    block_cosets = []  # per block: local coset table of DG / I_loc
-    dc = double_cosets(G, D, H)
-    cls_of = {}
-    for bi, (g, cls) in enumerate(dc):
-        ginv = int(G.inv[g])
-        inter = tuple(sorted(x for x in D.elements if G.conj(ginv, x) in hset))
-        I = SubgroupHandle(G, inter)
-        I_loc = SubgroupHandle(sub, tuple(d_pos[x] for x in inter))
-        blk, _ = induced_perm_lattice(sub, I_loc)
-        _, coset_of = coset_table(sub, I_loc)
-        summands.append((int(g), I))
-        blocks.append(blk)
-        block_cosets.append(coset_of)
-        for x in cls:
-            cls_of[x] = bi
-
-    target = blocks[0]
-    offsets = [0]
-    for blk in blocks[1:]:
-        offsets.append(target.rank)
-        target = direct_sum(target, blk)
-
-    # coset xH in the block of DgH maps to the coset dI where d g H = x H
-    matrix = np.zeros((target.rank, restricted.rank), dtype=np.int64)
-    for col, x in enumerate(reps):
-        bi = cls_of[x]
-        g = summands[bi][0]
-        xcoset = set(G.mul[x, np.array(H.elements, dtype=np.int64)].tolist())
-        d = next(dd for dd in D.elements if int(G.mul[dd, g]) in xcoset)
-        row = offsets[bi] + int(block_cosets[bi][d_pos[d]])
-        matrix[row, col] = 1
-    cmap = LatticeMap(restricted, target, matrix)
-    return summands, cmap
+    return GLattice(sub, act, label=f"{M.label}|{D.order}", validate=False)

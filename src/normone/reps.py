@@ -15,8 +15,8 @@ F_p[W], its element a + bW the matrix a I + b W (`_fp2_root`), so a trace
 or a norm is a matrix trace or determinant.  The scan's questions about
 all lines at once are reductions over `_line_action`, a table of how each
 matrix moves the p+1 lines and which lines it fixes pointwise.  A single
-marked line is tested directly (`_on_line`) and a common fixed vector by a
-rank over F_p, so validating a representation costs O(|G|) for any p.
+marked line is tested directly (`_on_line`), so validating a
+representation costs O(|G|) for any p.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import cyclic_spec, symmetric3_spec
+from .catalog import cyclic_spec
 from .errors import (
     NotCoprime,
     NotPrime,
@@ -38,17 +38,14 @@ from .finab import _factorize
 from .groups import (
     FiniteGroup,
     SubgroupHandle,
-    _rank_mod_p,
     build_group,
     is_prime,
     matrix_images,
     semidirect_from_action,
-    subgroup_closure,
     subgroup_classes,
     trivial_subgroup,
     vector_index,
 )
-from .lattices import j_lattice
 
 
 # -- F_{p^2} as F_p[W] ---------------------------------------------------------
@@ -237,23 +234,8 @@ class RepTwoDim:
             if not stays.all():
                 raise SpecInvalid("marked subgroup does not stabilize the line")
 
-    def matrix(self, g):
-        return self.mats[int(g)]
-
     def __repr__(self):
         return f"RepTwoDim(order {self.group.order} over F_{self.p})"
-
-
-def check_bc(rep):
-    """(no nonzero fixed vectors, the marked line's stabilizer fixes it pointwise)."""
-    if rep.line is None:
-        raise SpecInvalid("the second condition needs a marked line")
-    G, p = rep.group, rep.p
-    # a nonzero common fixed vector is a kernel of the stacked M_s - I
-    eye = np.eye(2, dtype=np.int64)
-    rows = [row for s in list(G.gens) or [G.identity] for row in (rep.mats[s] - eye).tolist()]
-    stays, fixes = _on_line(rep.mats, rep.line, p)
-    return _rank_mod_p(rows, p) == 2, bool((~stays | fixes).all())
 
 
 def _rep_from_generator_matrix(G, M, p, line=None, hprime=None):
@@ -262,44 +244,6 @@ def _rep_from_generator_matrix(G, M, p, line=None, hprime=None):
     if mats is None:
         raise SpecInvalid("generator matrix does not define a representation")
     return RepTwoDim(G, p, mats, line=line, hprime=hprime, validate=False)
-
-
-def reps_of_cyclic(p, n):
-    """All isomorphism classes of 2-dimensional representations of Z/n over F_p.
-
-    Split classes are unordered pairs of characters (orders divide
-    gcd(n, p-1)); the rest are Frobenius orbits of primitive-field
-    characters, realized by companion matrices with trace t = z + z^p and
-    determinant z^{p+1} for an eigenvalue z of order dividing gcd(n, p^2-1)
-    but not p-1, taken modulo z ~ z^p.
-    """
-    p, n = int(p), int(n)
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if math.gcd(p, n) != 1:
-        raise NotCoprime(f"{n} is not coprime to {p}")
-    G = build_group(cyclic_spec(n))
-    out = []
-    m1 = math.gcd(n, p - 1)
-    w = prime_field_root(p, m1)
-    for j1 in range(m1):
-        for j2 in range(j1, m1):
-            M = np.diag([pow(w, j1, p), pow(w, j2, p)]).astype(np.int64)
-            out.append(_rep_from_generator_matrix(G, M, p))
-    m2 = math.gcd(n, p * p - 1)
-    zeta = _fp2_root(p, m2)
-    seen = set()
-    for j in range(1, m2):
-        jj = min(j, (p * j) % m2)
-        if jj in seen:
-            continue
-        seen.add(jj)
-        (a, b), (c, d) = _mat_pow(zeta, j, p).tolist()
-        if c == 0:
-            continue  # scalar: the eigenvalue is in the prime field, split case
-        M = np.array([[0, -(a * d - b * c)], [1, a + d]], dtype=np.int64) % p
-        out.append(_rep_from_generator_matrix(G, M, p))
-    return out
 
 
 def witness_rep(p, n):
@@ -338,30 +282,6 @@ def witness_rep(p, n):
         M = np.array([[0, -1], [1, t]], dtype=np.int64) % p
         line = (1, 0)
     return _rep_from_generator_matrix(G, M, p, line=line, hprime=trivial_subgroup(G))
-
-
-def s3_standard_rep(p):
-    """The irreducible 2-dimensional representation of the order-6 symmetric
-    group: the norm-one lattice of a point stabilizer reduced mod p, with
-    the unique line fixed pointwise by that stabilizer marked.
-
-    The marked line is spanned by 2*[eH] - [xH] - [yH] (the two cosets of
-    the other point stabilizers), pushed through the quotient map.
-    """
-    p = int(p)
-    if not is_prime(p) or p < 5:
-        raise PreconditionFailed("a prime p >= 5 is required")
-    s3 = build_group(symmetric3_spec())
-    H = subgroup_closure(s3, [s3.gens[1]])  # the marked point stabilizer
-    J, qmap = j_lattice(s3, [(H, 1)])
-    mats = J.act % p
-    from .lattices import coset_table
-
-    reps_list, coset_of = coset_table(s3, H)
-    w = np.full(len(reps_list), -1, dtype=np.int64)
-    w[coset_of[s3.identity]] = 2
-    line = normalize_line((qmap.matrix @ w) % p, p)
-    return RepTwoDim(s3, p, mats, line=line, hprime=H)
 
 
 def sylow2_gl2(p):

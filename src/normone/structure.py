@@ -179,18 +179,6 @@ def _p_part(p, conds, S, dset):
     return FinAb.trivial()
 
 
-def sha_prime_to_p(G, H, p, dset=(), budget=DEFAULT_COCHAIN_BUDGET):
-    """The prime-to-p part, via brute force on the complement pair.
-
-    Valid only under a certificate that the closed dset computes the same
-    kernel as the all-cyclic one on the enlarged subgroup's lattice:
-    either (G : S*H) is prime, or the closed dset consists of cyclic
-    subgroups only.  Raises CertificateUnavailable otherwise.
-    """
-    conds = p_part_conditions(G, H, p)  # validates the shared prerequisites
-    return _prime_to_p(G, H, conds.sylow, dset_members(G, dset), budget)
-
-
 def _prime_to_p(G, H, S, dset, budget):
     """Sha of the complement pair (G', H') by brute force: G' is a complement
     of S, and H' = G' ∩ SH, so that SH = S ⋊ H' and |H'| = |H|/|S∩H|.
@@ -399,7 +387,7 @@ def _exceptional_shape(G, H, p, S):
         F_p-representations of S3 are the trivial, the sign and the
         2-dimensional standard one.  A sum of two characters has A3 in its
         kernel, so the action is the standard representation, unique up to
-        conjugacy: G is the group of `beta_shape_spec(p)`.
+        conjugacy: G is F_p^2 ⋊ S3 through that representation.
       - H has order 2p.  Its line L = H ∩ S is normalised by an involution
         t of H, which acts on S as a transposition of C does, a reflection.
         So L is the +1 eigenline of t (H cyclic) or the -1 eigenline

@@ -14,7 +14,9 @@ pivot rule and operations on object arrays.  `bar_table` expands a
 degree-2 cocycle of normone.cohomology, given by its relator values, into
 the whole n x n bar table, which `restriction_class` restricts to a
 subgroup and `cocycle2_defect` checks; `close_dset` is the closed dset as
-subgroup handles.
+subgroup handles.  `is_coboundary` decides whether a bar 2-cocycle
+bounds, with a witness, by solving the whole bar system d^1 b = c.
+`trivial_lattice` is the fixture Z^r with the trivial action.
 Tests only; nothing in normone imports it.
 """
 
@@ -31,9 +33,17 @@ from normone.cohomology import (
     _relator_values,
     dset_members,
 )
+from normone.errors import SpecInvalid
 from normone.finab import FinAb
 from normone.groups import cyclic_subgroups
-from normone.lattices import restrict
+from normone.lattices import GLattice, restrict
+
+
+def trivial_lattice(G, rank):
+    if rank < 0:
+        raise SpecInvalid("rank must be nonnegative")
+    act = np.broadcast_to(np.eye(rank, dtype=np.int64), (G.order, rank, rank)).copy()
+    return GLattice(G, act, label=f"Z^{rank}", validate=False)
 
 
 def _nonid(G):
@@ -244,7 +254,7 @@ def is_coboundary(D, M, c):
         return ok, (np.zeros((sub.order, r), dtype=object) if ok else None)
     A = coboundary1_matrix(RM)
     rhs = np.array(c, dtype=object)[np.ix_(nonid, nonid)].reshape(-1)
-    x = intmat.solve(A, rhs)
+    x = intmat.solve_many(A, rhs)
     if x is None:
         return False, None
     return True, embed_cochain1(sub, x.reshape(k, r))

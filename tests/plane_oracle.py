@@ -3,25 +3,47 @@
 `QuadraticField` does F_{p^2} arithmetic on pairs (a, b) = a + b w, with
 w^2 = c for the least non-residue c (p odd) or w^2 = w + 1 (p = 2).
 `line_image` and `fixes_line_pointwise` act with one matrix on one
-normalized line, `scan_hits` is the GL_2 scan written as a loop over
+normalized line; `fixed_space_dim` and `stabilizer_fixes_line` are the
+two marked-line conditions, which `marked_line_conditions` evaluates for
+a representation.  `scan_hits` is the GL_2 scan written as a loop over
 those calls, and `gl2_table` fills the GL_2 multiplication table one row
-per matrix.  Tests only; nothing in normone imports it.
+per matrix.  Representations to test with: `reps_of_cyclic` lists every
+2-dimensional representation of Z/n over F_p up to isomorphism, and
+`s3_standard_rep` is the standard representation of S3 with its marked
+line, whose `build_semidirect` group is a second construction of the
+beta(p) group `beta_shape_spec` describes.  Tests only; nothing in
+normone imports it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
+from normone.catalog import cyclic_spec, symmetric3_spec
+from normone.errors import NotCoprime, NotPrime, PreconditionFailed
 from normone.groups import (
     SubgroupHandle,
     _rank_mod_p,
     all_subgroups,
+    build_group,
     is_prime,
     subgroup_classes,
+    subgroup_closure,
 )
-from normone.reps import _gl2_group, all_lines, normalize_line
+from normone.lattices import coset_table, j_lattice
+from normone.reps import (
+    RepTwoDim,
+    _fp2_root,
+    _gl2_group,
+    _mat_pow,
+    _rep_from_generator_matrix,
+    all_lines,
+    normalize_line,
+    prime_field_root,
+)
 
 
 class QuadraticField:
@@ -117,6 +139,86 @@ def stabilizer_fixes_line(mats, elements, line, p):
         for g in elements
         if line_image(mats[g], line, p) == line
     )
+
+
+def marked_line_conditions(rep):
+    """(no nonzero fixed vector, the marked line's stabilizer fixes it pointwise)."""
+    elements = list(rep.group.elements())
+    return (
+        fixed_space_dim(rep.mats, elements, rep.p) == 0,
+        stabilizer_fixes_line(rep.mats, elements, rep.line, rep.p),
+    )
+
+
+def reps_of_cyclic(p, n):
+    """All isomorphism classes of 2-dimensional representations of Z/n over F_p.
+
+    Split classes are unordered pairs of characters (orders divide
+    gcd(n, p-1)); the rest are Frobenius orbits of primitive-field
+    characters, realized by companion matrices with trace t = z + z^p and
+    determinant z^{p+1} for an eigenvalue z of order dividing gcd(n, p^2-1)
+    but not p-1, taken modulo z ~ z^p.
+    """
+    p, n = int(p), int(n)
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if math.gcd(p, n) != 1:
+        raise NotCoprime(f"{n} is not coprime to {p}")
+    G = build_group(cyclic_spec(n))
+    out = []
+    m1 = math.gcd(n, p - 1)
+    w = prime_field_root(p, m1)
+    for j1 in range(m1):
+        for j2 in range(j1, m1):
+            M = np.diag([pow(w, j1, p), pow(w, j2, p)]).astype(np.int64)
+            out.append(_rep_from_generator_matrix(G, M, p))
+    m2 = math.gcd(n, p * p - 1)
+    zeta = _fp2_root(p, m2)
+    seen = set()
+    for j in range(1, m2):
+        jj = min(j, (p * j) % m2)
+        if jj in seen:
+            continue
+        seen.add(jj)
+        (a, b), (c, d) = _mat_pow(zeta, j, p).tolist()
+        if c == 0:
+            continue  # scalar: the eigenvalue is in the prime field, split case
+        M = np.array([[0, -(a * d - b * c)], [1, a + d]], dtype=np.int64) % p
+        out.append(_rep_from_generator_matrix(G, M, p))
+    return out
+
+
+def s3_standard_rep(p):
+    """The irreducible 2-dimensional representation of the order-6 symmetric
+    group: the norm-one lattice of a point stabilizer reduced mod p, with
+    the unique line fixed pointwise by that stabilizer marked.
+
+    The marked line is spanned by 2*[eH] - [xH] - [yH] (the two cosets of
+    the other point stabilizers), pushed through the quotient map.
+    """
+    p = int(p)
+    if not is_prime(p) or p < 5:
+        raise PreconditionFailed("a prime p >= 5 is required")
+    s3 = build_group(symmetric3_spec())
+    H = subgroup_closure(s3, [s3.gens[1]])  # the marked point stabilizer
+    J, qmap = j_lattice(s3, [(H, 1)])
+    reps_list, coset_of = coset_table(s3, H)
+    w = np.full(len(reps_list), -1, dtype=np.int64)
+    w[coset_of[s3.identity]] = 2
+    line = normalize_line((qmap.matrix @ w) % p, p)
+    return RepTwoDim(s3, p, J.act % p, line=line, hprime=H)
+
+
+def beta_shape_spec(p):
+    """Order 6p^2: the plane over F_p acted on by the order-6 symmetric group."""
+    return {
+        "kind": "semidirect",
+        "p": int(p),
+        "m": 2,
+        "matrices": [[[-1, -1], [1, 0]], [[0, 1], [1, 0]]],
+        "acting": symmetric3_spec(),
+        "label": f"(Z/{p})^2:S3",
+    }
 
 
 def gl2_table(p):

@@ -170,7 +170,7 @@ def test_budget_exit(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("verb", [["sha", "--group", A4_JSON, "--p", "2"], ["selftest"]])
-@pytest.mark.parametrize("budget", ["abc", "1e5"])
+@pytest.mark.parametrize("budget", ["abc", "1e5", "0", "-5"])
 def test_malformed_budget_exits_with_schema_error(capsys, monkeypatch, verb, budget):
     monkeypatch.setenv("SHA_BUDGET", budget)
     code, report = run_capture(capsys, verb)

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
-from bar_oracle import apply_coboundary1, bar_table, close_dset, cocycle2_defect, restriction_class
+from bar_oracle import (
+    apply_coboundary1,
+    bar_table,
+    close_dset,
+    cocycle2_defect,
+    is_coboundary,
+    restriction_class,
+    trivial_lattice,
+)
 from normone.catalog import a4_shape_spec, catalog_group, cyclic_spec
 from normone.cohomology import (
     closed_dset_elements,
     cohomology,
     h1_character_kernel,
-    is_coboundary,
     sha,
     tate_cyclic,
 )
@@ -23,7 +30,7 @@ from normone.groups import (
     sylow_subgroup,
     trivial_subgroup,
 )
-from normone.lattices import GLattice, induced_perm_lattice, j_lattice, restrict, trivial_lattice
+from normone.lattices import GLattice, induced_perm_lattice, j_lattice, restrict
 
 
 def a4():
@@ -331,3 +338,14 @@ def test_tate_requires_cyclic():
     lat = trivial_lattice(G, 1)
     with pytest.raises(NotCyclic):
         tate_cyclic(full_subgroup(G), lat, 0)
+
+
+def test_tate_refuses_a_lattice_over_a_non_cyclic_group():
+    # D is cyclic of order 4, but the lattice lives over the Klein four-group
+    # V of the same order, which has no element of order 4
+    G = catalog_group("Z2xZ4")
+    J, _ = j_lattice(G, [(trivial_subgroup(G), 1)])
+    D = next(H for H in all_subgroups(G) if H.order == 4 and H.is_cyclic)
+    V = next(H for H in all_subgroups(G) if H.order == 4 and not H.is_cyclic)
+    with pytest.raises(GroupMismatch):
+        tate_cyclic(D, restrict(J, V), 1)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from plane_oracle import beta_shape_spec, s3_standard_rep
 from normone.catalog import (
     a4_shape_spec,
-    beta_shape_spec,
     catalog_group,
     catalog_names,
     cyclic_spec,
@@ -46,7 +46,7 @@ from normone.groups import (
     vector_index,
 )
 from normone import groups
-from normone.reps import _gl2_group, build_semidirect, s3_standard_rep, witness_rep
+from normone.reps import _gl2_group, build_semidirect, witness_rep
 from normone.structure import composite_sha_witness
 
 

@@ -35,10 +35,10 @@ def test_smith_transform_identity():
 
 
 def test_solve_no_solution():
-    assert intmat.solve([[2, 0], [0, 2]], [1, 0]) is None
-    assert intmat.solve([[2, 4]], [3]) is None
-    x = intmat.solve([[2, 4]], [6])
-    assert x is not None and 2 * x[0] + 4 * x[1] == 6
+    assert intmat.solve_many([[2, 0], [0, 2]], [1, 0]) is None
+    assert intmat.solve_many([[2, 4]], [3]) is None
+    x = intmat.solve_many([[2, 4]], [6])
+    assert x is not None and 2 * x[0, 0] + 4 * x[1, 0] == 6
 
 
 def test_quotient_group_structure():
@@ -403,16 +403,17 @@ def test_smith_invariants_are_gcds_of_minors(rows):
 @settings(max_examples=150, deadline=None)
 @given(_matrices(9), st.data())
 def test_carry_matches_row_ops(rows, data):
-    # solve (which carries the right-hand side through Smith's row
+    # solve_many (which carries the right-hand side through Smith's row
     # operations) round-trips A x, and any solution it returns is exact
     A = np.array(rows, dtype=object)
     n, m = A.shape[1], A.shape[0]
     x = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
-    b = A @ np.array(x, dtype=object)
-    y = intmat.solve(A, b)
+    b = (A @ np.array(x, dtype=object)).reshape(-1, 1)
+    y = intmat.solve_many(A, b)
     assert y is not None and (A @ y == b).all()
     b = np.array(data.draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m)), dtype=object)
-    y = intmat.solve(A, b)
+    b = b.reshape(-1, 1)
+    y = intmat.solve_many(A, b)
     assert y is None or (A @ y == b).all()
 
 

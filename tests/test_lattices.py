@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bar_oracle import trivial_lattice
 from normone import intmat
 from normone.catalog import a4_shape_spec, catalog_group, symmetric3_spec
 from normone.errors import EmptyFamily, GroupMismatch, SpecInvalid
@@ -11,10 +12,7 @@ from normone.lattices import (
     direct_sum,
     induced_perm_lattice,
     j_lattice,
-    mackey_decompose,
     restrict,
-    trivial_lattice,
-    twist,
 )
 
 
@@ -97,75 +95,10 @@ def test_restrict_shapes():
     J, _ = j_lattice(G4, [(H, 1)])
     S = sylow_subgroup(G4, 2)
     R = restrict(J, S)
-    assert R.rank == 5 and R.group.order == 4 and R.subgroup is S
+    assert R.rank == 5 and R.group.order == 4
+    assert (R.act == J.act[list(S.elements)]).all()
     T = restrict(J, trivial_subgroup(G4))
     assert T.group.order == 1
-
-
-def test_twist_examples():
-    G = s3()
-    A3 = subgroup_closure(G, [G.gens[0]])
-    sign, _ = j_lattice(G, [(A3, 1)])
-    assert sign.rank == 1
-    T = subgroup_closure(G, [G.gens[1]])
-    restr = restrict(sign, T)
-    tr = [x for x in T.elements if x != G.identity][0]
-    local = {x: i for i, x in enumerate(T.elements)}
-    assert restr.act[local[tr], 0, 0] == -1  # the sign action
-    # twist by identity: unchanged
-    assert (twist(restr, G.identity).act == restr.act).all()
-    # double twist returns to the start
-    g = G.gens[0]
-    tw = twist(restr, g)
-    back = twist(tw, int(G.inv[g]))
-    assert (back.act == restr.act).all()
-    # the twist lives over the conjugate subgroup with the sign action
-    assert tw.subgroup.elements == T.conjugate(g).elements
-    nontriv = [x for x in tw.subgroup.elements if x != G.identity][0]
-    loc = {x: i for i, x in enumerate(tw.subgroup.elements)}
-    assert tw.act[loc[nontriv], 0, 0] == -1
-
-
-def test_mackey_catalog_cases():
-    G = s3()
-    A3 = subgroup_closure(G, [G.gens[0]])
-    T = subgroup_closure(G, [G.gens[1]])
-    summands, cmap = mackey_decompose(G, T, A3)
-    assert [(g, I.order) for g, I in summands] == [(0, 1)]
-    assert cmap.matrix.shape == (3, 3)
-
-    summands, cmap = mackey_decompose(G, full_subgroup(G), A3)
-    assert len(summands) == 1 and summands[0][1].order == 3
-    assert cmap.matrix.shape == (1, 1)
-
-    G4 = a4()
-    H = subgroup_closure(G4, [1])
-    S = sylow_subgroup(G4, 2)
-    summands, cmap = mackey_decompose(G4, H, S)
-    assert len(summands) == 3
-    assert all(I.order == 2 for _, I in summands)
-    assert cmap.matrix.shape == (6, 6)
-
-
-def test_mackey_map_unimodular_everywhere():
-    cases = []
-    G = s3()
-    cases.append((G, subgroup_closure(G, [G.gens[1]]), subgroup_closure(G, [G.gens[0]])))
-    G4 = a4()
-    cases.append((G4, subgroup_closure(G4, [1]), sylow_subgroup(G4, 2)))
-    cases.append((G4, sylow_subgroup(G4, 2), subgroup_closure(G4, [4])))
-    Q8 = catalog_group("Q8")
-    cases.append((Q8, subgroup_closure(Q8, [2]), subgroup_closure(Q8, [4])))
-    for G, H, D in cases:
-        _, cmap = mackey_decompose(G, H, D)
-        r = cmap.matrix.shape[0]
-        assert cmap.matrix.shape[1] == r
-        assert intmat.invariant_factors(cmap.matrix) == [1] * r
-        # equivariance is checked at construction; re-assert here explicitly
-        for g in cmap.source.group.elements():
-            assert (
-                cmap.target.act[g] @ cmap.matrix == cmap.matrix @ cmap.source.act[g]
-            ).all()
 
 
 def test_direct_sum():

@@ -17,7 +17,6 @@ from normone.cohomology import (
     _restriction_lattice,
     _restriction_members,
     cohomology,
-    is_coboundary,
     sha,
 )
 from normone.finab import FinAb
@@ -301,12 +300,12 @@ def test_is_coboundary_witness_and_non_cocycles():
     b = rng.integers(-4, 5, size=(G.order, lat.rank)).astype(object)
     b[G.identity] = 0
     c = _bar_coboundary(lat, b)
-    ok, wit = is_coboundary(full_subgroup(G), lat, c)
+    ok, wit = bar_oracle.is_coboundary(full_subgroup(G), lat, c)
     assert ok and (_bar_coboundary(lat, wit) == c).all()
     for g, h in ((1, 2), (5, 11), (7, 7)):
         bad = c.copy()
         bad[g, h, 0] += 1
-        assert is_coboundary(full_subgroup(G), lat, bad) == (False, None)
+        assert bar_oracle.is_coboundary(full_subgroup(G), lat, bad) == (False, None)
 
 
 def test_h1_generators_are_crossed_homomorphisms():
@@ -322,7 +321,7 @@ def test_h1_generators_are_crossed_homomorphisms():
                         assert (b[G.mul[g, h]] == b[g] + lat.act[g] @ b[h]).all()
                 # d b is principal, g |-> (g - 1) m for some m, and b is not
                 diff = (lat.act - np.eye(lat.rank, dtype=np.int64)).reshape(-1, lat.rank)
-                assert intmat.solve(diff, d * b.reshape(-1)) is not None
-                assert intmat.solve(diff, b.reshape(-1)) is None
+                assert intmat.solve_many(diff, d * b.reshape(-1)) is not None
+                assert intmat.solve_many(diff, b.reshape(-1)) is None
                 checked += 1
     assert checked or G.order == 1

@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 
 import plane_oracle
+from plane_oracle import marked_line_conditions, reps_of_cyclic, s3_standard_rep
 from normone.errors import NotCoprime, NotPrime, PreconditionFailed, SpecInvalid
 from normone.groups import all_subgroups, is_prime
 from normone.reps import (
     RepTwoDim,
     all_lines,
     build_semidirect,
-    check_bc,
     d_membership,
     exhaustive_scan,
-    reps_of_cyclic,
-    s3_standard_rep,
     s_min,
     sylow2_gl2,
     witness_rep,
@@ -190,7 +188,7 @@ def test_reps_of_cyclic_are_pairwise_distinct():
     reps = reps_of_cyclic(5, 4)
     keys = set()
     for r in reps:
-        M = r.matrix(1) if r.group.order > 1 else np.eye(2, dtype=np.int64)
+        M = r.mats[1] if r.group.order > 1 else np.eye(2, dtype=np.int64)
         key = (int(np.trace(M)) % 5, int(round(np.linalg.det(M))) % 5, _order(M, 5))
         keys.add(key)
     assert len(keys) == len(reps)
@@ -201,12 +199,12 @@ def test_reps_of_cyclic_are_pairwise_distinct():
 
 def test_witness_rep_examples():
     r = witness_rep(5, 3)
-    assert r is not None and check_bc(r) == (True, True)
+    assert r is not None and marked_line_conditions(r) == (True, True)
     assert witness_rep(5, 2) is None
     r = witness_rep(5, 4)
-    assert r is not None and check_bc(r) == (True, True)
+    assert r is not None and marked_line_conditions(r) == (True, True)
     r = witness_rep(2, 3)
-    assert (r.matrix(1) == np.array([[0, 1], [1, 1]])).all()
+    assert (r.mats[1] == np.array([[0, 1], [1, 1]])).all()
     with pytest.raises(NotCoprime):
         witness_rep(3, 6)
 
@@ -220,26 +218,29 @@ def test_witness_rep_matches_membership():
             flags = d_membership(p * n, p)
             assert (r is not None) == (flags.in_D1 or flags.in_D2), (p, n)
             if r is not None:
-                assert check_bc(r) == (True, True)
+                assert marked_line_conditions(r) == (True, True)
 
 
 def test_check_bc_negative_case():
-    # the trivial-plus-nontrivial character pair has a fixed vector
+    # the trivial-plus-nontrivial character pair has a fixed vector, so the
+    # commutator [G, S] of its plane-by-group product is one line, not S
     from normone.catalog import cyclic_spec
-    from normone.groups import build_group
+    from normone.groups import build_group, trivial_subgroup
     from normone.reps import _rep_from_generator_matrix
 
     G = build_group(cyclic_spec(4))
     M = np.diag([1, 2]).astype(np.int64)  # first coordinate fixed
-    rep = _rep_from_generator_matrix(G, M, 5, line=(1, 0))
-    b, c = check_bc(rep)
+    rep = _rep_from_generator_matrix(G, M, 5, line=(1, 1), hprime=trivial_subgroup(G))
+    b, c = marked_line_conditions(rep)
     assert not b
+    GS, H, S = build_semidirect(rep)
+    assert not p_part_conditions(GS, H, 5).b_commutator_full
 
 
 def test_s3_standard_rep():
     for p in (5, 7):
         rep = s3_standard_rep(p)
-        assert check_bc(rep) == (True, True)
+        assert marked_line_conditions(rep) == (True, True)
         _, fixed = _line_action(rep.mats[list(rep.hprime.elements)], p)
         assert [L for L, f in zip(all_lines(p), fixed.all(0)) if f] == [rep.line]
     with pytest.raises(PreconditionFailed):
@@ -248,20 +249,14 @@ def test_s3_standard_rep():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_marked_line_checks_match_per_element_loop(p):
-    # check_bc and the line-stabilizer validation, against the parent's loops,
-    # for every representation of Z/n, marked line and marked subgroup
+    # the line-stabilizer validation, against the per-element loop, for
+    # every representation of Z/n, marked line and marked subgroup
     for n in (3, 4, 6):
         if n % p == 0:
             continue
         for rep in reps_of_cyclic(p, n):
-            G, elements = rep.group, list(rep.group.elements())
-            no_fixed = plane_oracle.fixed_space_dim(rep.mats, elements, p) == 0
+            G = rep.group
             for L in all_lines(p):
-                rep.line = L
-                assert check_bc(rep) == (
-                    no_fixed,
-                    plane_oracle.stabilizer_fixes_line(rep.mats, elements, L, p),
-                ), (p, n, L)
                 for H in all_subgroups(G):
                     stays = all(plane_oracle.line_image(rep.mats[h], L, p) == L for h in H.elements)
                     if stays:
@@ -273,10 +268,10 @@ def test_marked_line_checks_match_per_element_loop(p):
 
 @pytest.mark.parametrize("p", [1000003, 999999937])
 def test_s3_standard_rep_at_large_primes(p):
-    # validation and check_bc touch the marked line only, so a large p costs
-    # no more than a small one
+    # validation touches the marked line only, so a large p costs no more
+    # than a small one
     rep = s3_standard_rep(p)
-    assert check_bc(rep) == (True, True)
+    assert marked_line_conditions(rep) == (True, True)
     # the marked line is the +1 eigenline of the transposition; adding a -1
     # eigenvector gives a line the transposition moves
     M = rep.mats[rep.group.gens[1]]
@@ -459,7 +454,7 @@ def test_bridge_bc_equals_group_conditions():
     for rep in cases:
         G, H, S = build_semidirect(rep)
         conds = p_part_conditions(G, H, rep.p)
-        assert check_bc(rep) == (
+        assert marked_line_conditions(rep) == (
             conds.b_commutator_full,
             conds.c_normalizer_is_centralizer,
         ), (rep.p, rep.group.order)

@@ -3,11 +3,11 @@ import re
 
 import pytest
 
+from plane_oracle import beta_shape_spec, s3_standard_rep
 from normone import cohomology, groups, structure
 from normone.catalog import (
     a4_shape_spec,
     abelian_spec,
-    beta_shape_spec,
     catalog_group,
     catalog_names,
     cyclic_spec,
@@ -30,7 +30,7 @@ from normone.groups import (
     trivial_subgroup,
 )
 from normone.lattices import j_lattice
-from normone.reps import build_semidirect, s3_standard_rep, witness_rep
+from normone.reps import build_semidirect, witness_rep
 from normone.structure import (
     Classification,
     annihilator_bound,
@@ -42,7 +42,6 @@ from normone.structure import (
     sha_full,
     sha_p_part,
     sha_prime_index_family,
-    sha_prime_to_p,
     _exceptional_shape,
     _p_restriction_check,
 )
@@ -163,15 +162,28 @@ def test_p_part_values():
     assert sha_p_part(G75, H75, 5) == FinAb.cyclic(5)
 
 
+def _prime_to_p_summand(G, H, p):
+    """The complement pair's value, read off the theorem path: that path is
+    the p-part plus this value, whose order is prime to p."""
+    theorem = sha_full(G, H, p, method="theorem").result
+    assert theorem.primary_part(p) == sha_p_part(G, H, p)
+    parts = []
+    for d in theorem.factors:
+        while d % p == 0:
+            d //= p
+        parts.append(d)
+    return FinAb.from_factors(parts)
+
+
 def test_prime_to_p_values():
     G = a4()
     H = subgroup_closure(G, [1])
-    assert sha_prime_to_p(G, H, 2).is_trivial()  # complement pair (Z/3, 1), prime index
+    assert _prime_to_p_summand(G, H, 2).is_trivial()  # complement pair (Z/3, 1), prime index
     G150, H150, _ = build_semidirect(s3_standard_rep(5))
-    assert sha_prime_to_p(G150, H150, 5).is_trivial()  # order-6 complement, cyclic Sylows
+    assert _prime_to_p_summand(G150, H150, 5).is_trivial()  # order-6 complement, cyclic Sylows
     spec, Hw, _ = composite_sha_witness(2, "i")
     Gw = Hw.parent
-    assert sha_prime_to_p(Gw, Hw, 2) == FinAb.cyclic(3)  # bicyclic value on (Z/3)^2
+    assert _prime_to_p_summand(Gw, Hw, 2) == FinAb.cyclic(3)  # bicyclic value on (Z/3)^2
 
 
 def test_theorem_path_finds_a_four_generator_complement():
@@ -196,8 +208,6 @@ def test_prime_to_p_certificate_gate():
     Gw = Hw.parent
     # a non-cyclic dset member with (G : S*H) = 9 not prime: no certificate
     S2 = sylow_subgroup(Gw, 2)
-    with pytest.raises(CertificateUnavailable):
-        sha_prime_to_p(Gw, Hw, 2, [S2])
     with pytest.raises(CertificateUnavailable):
         sha_full(Gw, Hw, 2, [S2], method="theorem")
 
@@ -271,8 +281,6 @@ def test_foreign_dset_member_is_refused():
             sha_full(G, H, 2, foreign, method=method)
     with pytest.raises(GroupMismatch):
         sha_p_part(G, H, 2, foreign)
-    with pytest.raises(GroupMismatch):
-        sha_prime_to_p(G, H, 2, foreign)
 
 
 def test_sha_full_both_finds_cyclic_subgroups_once(monkeypatch):
@@ -743,7 +751,7 @@ def test_prime_power_exponent_at_degree_20():
     conds = p_part_conditions(g100, H, 5)
     assert conds.all_abc
     assert sha_p_part(g100, H, 5) == FinAb.cyclic(5)
-    assert sha_prime_to_p(g100, H, 5).is_trivial()  # cyclic complement
+    assert _prime_to_p_summand(g100, H, 5).is_trivial()  # cyclic complement
 
 
 def _is_prime_power(n):
