@@ -56,6 +56,18 @@ def a4_shape_spec(p=2):
     }
 
 
+def beta_shape_spec(p):
+    """Order 6p^2: the plane over F_p acted on by the order-6 symmetric group."""
+    return {
+        "kind": "semidirect",
+        "p": int(p),
+        "m": 2,
+        "matrices": [[[-1, -1], [1, 0]], [[0, 1], [1, 0]]],
+        "acting": symmetric3_spec(),
+        "label": f"(Z/{p})^2:S3",
+    }
+
+
 def quaternion8():
     """The order-8 quaternion group, by its unit multiplication table.
 

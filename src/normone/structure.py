@@ -387,7 +387,7 @@ def _exceptional_shape(G, H, p, S):
         F_p-representations of S3 are the trivial, the sign and the
         2-dimensional standard one.  A sum of two characters has A3 in its
         kernel, so the action is the standard representation, unique up to
-        conjugacy: G is F_p^2 ⋊ S3 through that representation.
+        conjugacy: G is the group of `beta_shape_spec(p)`.
       - H has order 2p.  Its line L = H ∩ S is normalised by an involution
         t of H, which acts on S as a transposition of C does, a reflection.
         So L is the +1 eigenline of t (H cyclic) or the -1 eigenline

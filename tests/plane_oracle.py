@@ -11,8 +11,8 @@ per matrix.  Representations to test with: `reps_of_cyclic` lists every
 2-dimensional representation of Z/n over F_p up to isomorphism, and
 `s3_standard_rep` is the standard representation of S3 with its marked
 line, whose `build_semidirect` group is a second construction of the
-beta(p) group `beta_shape_spec` describes.  Tests only; nothing in
-normone imports it.
+beta(p) group `normone.catalog.beta_shape_spec` describes.  Tests only;
+nothing in normone imports it.
 """
 
 from __future__ import annotations
@@ -207,18 +207,6 @@ def s3_standard_rep(p):
     w[coset_of[s3.identity]] = 2
     line = normalize_line((qmap.matrix @ w) % p, p)
     return RepTwoDim(s3, p, J.act % p, line=line, hprime=H)
-
-
-def beta_shape_spec(p):
-    """Order 6p^2: the plane over F_p acted on by the order-6 symmetric group."""
-    return {
-        "kind": "semidirect",
-        "p": int(p),
-        "m": 2,
-        "matrices": [[[-1, -1], [1, 0]], [[0, 1], [1, 0]]],
-        "acting": symmetric3_spec(),
-        "label": f"(Z/{p})^2:S3",
-    }
 
 
 def gl2_table(p):

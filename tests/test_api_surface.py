@@ -2,8 +2,10 @@
 
 Every public top-level function and class in `src/normone` must be
 referenced, as a name or an attribute, somewhere in the package outside its
-own definition and `__init__.py`: a CLI verb, the selftest battery or
-another function calls it.  Code that only tests call belongs in `tests/`.
+own definition and `__init__.py`, or in the benchmark under `perfbench/`: a
+CLI verb, the selftest battery, another function or the benchmark calls it.
+The benchmark counts only as a caller; its own definitions are not checked.
+Code that only tests call belongs in `tests/`.
 The exceptions are the checks that ROADMAP item 10 reserves for wiring into
 `sha_full`; the list must name exactly the functions that still lack a
 caller, so it shrinks as they are wired in.
@@ -17,14 +19,24 @@ import normone
 
 RESERVED = {"tate_cyclic", "annihilator_bound", "p_vanishing_certificate"}
 PACKAGE = Path(normone.__file__).resolve().parent
+BENCHMARK = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _parse(paths, prefix=""):
+    return {
+        prefix + path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(paths)
+        if path.name != "__init__.py"
+    }
 
 
 def _modules():
-    return {
-        path.stem: ast.parse(path.read_text(), filename=str(path))
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
-    }
+    return _parse(PACKAGE.glob("*.py"))
+
+
+def _callers():
+    """The package's modules and the benchmark's scripts, which only call."""
+    return {**_modules(), **_parse(BENCHMARK.glob("*.py"), prefix="perfbench/")}
 
 
 def _public_definitions(modules):
@@ -52,7 +64,7 @@ def _references(modules):
 
 def test_every_public_definition_has_a_caller_in_the_package():
     modules = _modules()
-    refs = _references(modules)
+    refs = _references(_callers())
     uncalled = set()
     for name, (module, node) in _public_definitions(modules).items():
         outside = [

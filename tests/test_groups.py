@@ -3,9 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plane_oracle import beta_shape_spec, s3_standard_rep
+from plane_oracle import s3_standard_rep
 from normone.catalog import (
     a4_shape_spec,
+    beta_shape_spec,
     catalog_group,
     catalog_names,
     cyclic_spec,

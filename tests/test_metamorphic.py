@@ -24,11 +24,10 @@ import functools
 import numpy as np
 import pytest
 
-from normone.catalog import a4_shape_spec
+from normone.catalog import a4_shape_spec, beta_shape_spec
 from normone.errors import NormOneError
 from normone.groups import FiniteGroup, SubgroupHandle, all_subgroups, build_group, sylow_subgroup
 from normone.structure import classify_two_prime_index, sha_full
-from plane_oracle import beta_shape_spec
 
 # name -> (spec, the prime of the query, the prime of a cyclic, non-normal Sylow subgroup)
 GROUPS = {

@@ -3,16 +3,17 @@ import re
 
 import pytest
 
-from plane_oracle import beta_shape_spec, s3_standard_rep
+from plane_oracle import s3_standard_rep
 from normone import cohomology, groups, structure
 from normone.catalog import (
     a4_shape_spec,
     abelian_spec,
+    beta_shape_spec,
     catalog_group,
     catalog_names,
     cyclic_spec,
 )
-from normone.cohomology import sha
+from normone.cohomology import DEFAULT_COCHAIN_BUDGET, sha
 from normone.errors import (
     CertificateUnavailable,
     GroupMismatch,
@@ -44,6 +45,7 @@ from normone.structure import (
     sha_prime_index_family,
     _exceptional_shape,
     _p_restriction_check,
+    _prime_to_p,
 )
 
 
@@ -162,28 +164,21 @@ def test_p_part_values():
     assert sha_p_part(G75, H75, 5) == FinAb.cyclic(5)
 
 
-def _prime_to_p_summand(G, H, p):
-    """The complement pair's value, read off the theorem path: that path is
-    the p-part plus this value, whose order is prime to p."""
-    theorem = sha_full(G, H, p, method="theorem").result
-    assert theorem.primary_part(p) == sha_p_part(G, H, p)
-    parts = []
-    for d in theorem.factors:
-        while d % p == 0:
-            d //= p
-        parts.append(d)
-    return FinAb.from_factors(parts)
+def _complement_value(G, H, p, dset=()):
+    """Sha of the complement pair, as the theorem path computes it."""
+    S = p_part_conditions(G, H, p).sylow
+    return _prime_to_p(G, H, S, dset, DEFAULT_COCHAIN_BUDGET)
 
 
 def test_prime_to_p_values():
     G = a4()
     H = subgroup_closure(G, [1])
-    assert _prime_to_p_summand(G, H, 2).is_trivial()  # complement pair (Z/3, 1), prime index
+    assert _complement_value(G, H, 2).is_trivial()  # complement pair (Z/3, 1), prime index
     G150, H150, _ = build_semidirect(s3_standard_rep(5))
-    assert _prime_to_p_summand(G150, H150, 5).is_trivial()  # order-6 complement, cyclic Sylows
+    assert _complement_value(G150, H150, 5).is_trivial()  # order-6 complement, cyclic Sylows
     spec, Hw, _ = composite_sha_witness(2, "i")
     Gw = Hw.parent
-    assert _prime_to_p_summand(Gw, Hw, 2) == FinAb.cyclic(3)  # bicyclic value on (Z/3)^2
+    assert _complement_value(Gw, Hw, 2) == FinAb.cyclic(3)  # bicyclic value on (Z/3)^2
 
 
 def test_theorem_path_finds_a_four_generator_complement():
@@ -208,6 +203,8 @@ def test_prime_to_p_certificate_gate():
     Gw = Hw.parent
     # a non-cyclic dset member with (G : S*H) = 9 not prime: no certificate
     S2 = sylow_subgroup(Gw, 2)
+    with pytest.raises(CertificateUnavailable):
+        _complement_value(Gw, Hw, 2, [S2])
     with pytest.raises(CertificateUnavailable):
         sha_full(Gw, Hw, 2, [S2], method="theorem")
 
@@ -751,7 +748,7 @@ def test_prime_power_exponent_at_degree_20():
     conds = p_part_conditions(g100, H, 5)
     assert conds.all_abc
     assert sha_p_part(g100, H, 5) == FinAb.cyclic(5)
-    assert _prime_to_p_summand(g100, H, 5).is_trivial()  # cyclic complement
+    assert _complement_value(g100, H, 5).is_trivial()  # cyclic complement
 
 
 def _is_prime_power(n):
