@@ -25,8 +25,6 @@ from .groups import (
 )
 from .lattices import (
     GLattice,
-    LatticeMap,
-    direct_sum,
     induced_perm_lattice,
     j_lattice,
     restrict,

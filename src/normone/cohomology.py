@@ -412,6 +412,8 @@ def h1_character_kernel(G, pairs):
     pairs = list(pairs)
     if not pairs:
         raise EmptyFamily("at least one subgroup is required")
+    if any(H.parent is not G for H, _ in pairs):
+        raise GroupMismatch("subgroup does not live in the given group")
     abG, proj = abelianization(G)
     ds = list(abG.factors)
     J = len(ds)

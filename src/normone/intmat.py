@@ -314,16 +314,6 @@ def smith(A, want_uinv=False, want_v=False, carry=None):
     return diag, Uinv, V, None if C is None else array(C, width)
 
 
-def invariant_factors(A):
-    """Nonzero invariant factors of A (via a row-lattice precompression)."""
-    A = np.asarray(A)
-    if A.ndim != 2 or min(A.shape) == 0 or not np.any(A):
-        return []
-    R = row_lattice_basis(A)
-    diag, _, _, _ = smith(R)
-    return diag
-
-
 def kernel_basis(A):
     """Columns form a basis of the integer kernel of A (saturated)."""
     A = np.asarray(A)

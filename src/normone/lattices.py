@@ -1,10 +1,11 @@
 """G-lattices: free abelian groups with an action by unimodular matrices.
 
-Induced permutation lattices are realized as left-coset permutation
-modules; the norm-one character lattices are quotients of their direct
-sums by the diagonal copy of Z, through the quotient map [-1 | I], whose
-image of e_i (i >= 1) is a basis, so the result is a genuine torsion-free
-lattice.
+Every lattice here is read off one point permutation: G acting by left
+translation on the disjoint union of the coset spaces G/H_i, each taken
+e_i times.  The induced permutation lattice is the span of the points; the
+norm-one character lattice J is its quotient by the diagonal copy of Z
+(the sum of all points), with the images of the points 1, ..., R-1 as
+basis, so g acts on J by [π_g(j) = i] - [π_g(j) = 0].
 """
 
 from __future__ import annotations
@@ -12,32 +13,21 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyFamily, GroupMismatch, SpecInvalid
-from . import intmat
-
-
-def _is_unimodular(M):
-    M = np.asarray(M)
-    if M.shape[0] != M.shape[1]:
-        return False
-    if M.shape[0] == 0:
-        return True
-    facs = intmat.invariant_factors(M)
-    return len(facs) == M.shape[0] and all(d == 1 for d in facs)
 
 
 class GLattice:
     """Z^rank with an action of a finite group by integer matrices.
 
-    `act` stores one rank x rank matrix per group element.  The identity
-    must act as the identity matrix; the action is verified to be a
-    homomorphism on every edge (g, s) of the Cayley graph over the group's
-    canonical generators, which forces it on all pairs; generator matrices
-    are verified unimodular, which propagates to all elements.
+    `act` stores one rank x rank matrix per group element, act[g] acting
+    on column vectors.  The constructor checks only the shape.  The
+    lattices of this package are built so that g -> act[g] is a
+    homomorphism with act[1] = I, which makes every act[g] unimodular:
+    act[g] act[g^-1] = act[1] = I.
     """
 
     __slots__ = ("group", "rank", "act", "label")
 
-    def __init__(self, group, act, label="", validate=True):
+    def __init__(self, group, act, label=""):
         act = np.asarray(act, dtype=np.int64)
         if act.ndim != 3 or act.shape[0] != group.order or act.shape[1] != act.shape[2]:
             raise SpecInvalid("action array must be (order, rank, rank)")
@@ -45,45 +35,9 @@ class GLattice:
         self.rank = int(act.shape[1])
         self.act = act
         self.label = label
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        G, act = self.group, self.act
-        eye = np.eye(self.rank, dtype=np.int64)
-        if not (act[G.identity] == eye).all():
-            raise SpecInvalid("identity must act trivially")
-        for s in G.gens:
-            if not _is_unimodular(act[s]):
-                raise SpecInvalid("generator action matrix is not unimodular")
-        for s in G.gens:
-            prod = act @ act[s]  # (n, r, r): g -> act[g] @ act[s]
-            if not (prod == act[G.mul[:, s]]).all():
-                raise SpecInvalid("action is not a homomorphism")
 
     def __repr__(self):
         return f"GLattice(rank {self.rank} over {self.group.label or self.group.order})"
-
-
-class LatticeMap:
-    """An integer matrix commuting with the group actions of its endpoints."""
-
-    __slots__ = ("source", "target", "matrix")
-
-    def __init__(self, source, target, matrix, validate=True):
-        matrix = np.asarray(matrix, dtype=np.int64)
-        if matrix.shape != (target.rank, source.rank):
-            raise SpecInvalid("lattice map matrix has wrong shape")
-        if source.group is not target.group:
-            raise GroupMismatch("lattice map endpoints must share the group")
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-        if validate:
-            left = target.act @ matrix  # (n, tr, sr)
-            right = np.einsum("ij,njk->nik", matrix, source.act)
-            if not (left == right).all():
-                raise SpecInvalid("lattice map is not equivariant")
 
 
 def coset_table(G, H):
@@ -100,66 +54,55 @@ def coset_table(G, H):
     return reps, coset_of
 
 
+def _points(G, pairs):
+    """perm[g, j], the point g sends point j to, on the disjoint union of
+    e copies of G/H for each (H, e) in order; point j of a block is the
+    coset x_j H of its `coset_table` representative x_j."""
+    if not pairs:
+        raise EmptyFamily("at least one subgroup is required")
+    blocks, width = [], 0
+    for H, e in pairs:
+        if H.parent is not G:
+            raise GroupMismatch("subgroup does not live in the given group")
+        if int(e) != e or e < 1:
+            raise SpecInvalid("multiplicities must be positive integers")
+        reps, coset_of = coset_table(G, H)
+        block = coset_of[G.mul[:, reps]]
+        for _ in range(int(e)):
+            blocks.append(block + width)
+            width += len(reps)
+    return np.hstack(blocks)
+
+
 def induced_perm_lattice(G, H):
-    """(permutation lattice on G/H, coset labels).
-
-    Rank is the index (G:H); each element acts by the permutation matrix of
-    left translation on cosets.
-    """
-    if H.parent is not G:
-        raise GroupMismatch("subgroup does not live in the given group")
-    reps, coset_of = coset_table(G, H)
-    r = len(reps)
-    act = np.zeros((G.order, r, r), dtype=np.int64)
-    for g in G.elements():
-        for j, x in enumerate(reps):
-            act[g, coset_of[G.mul[g, x]], j] = 1
-    lat = GLattice(G, act, label=f"Ind[{G.order}/{H.order}]", validate=False)
-    return lat, reps
-
-
-def direct_sum(M, N, label=""):
-    if M.group is not N.group:
-        raise GroupMismatch("direct sum requires one acting group")
-    n = M.group.order
-    r, s = M.rank, N.rank
-    act = np.zeros((n, r + s, r + s), dtype=np.int64)
-    act[:, :r, :r] = M.act
-    act[:, r:, r:] = N.act
-    return GLattice(M.group, act, label=label or f"{M.label}+{N.label}", validate=False)
+    """The permutation lattice on G/H, of rank (G:H): g sends the basis
+    vector of the coset x_j H (`coset_table` order) to that of g x_j H."""
+    perm = _points(G, [(H, 1)])
+    n, r = perm.shape
+    act = np.zeros((n, r, r), dtype=np.int64)
+    act[np.arange(n)[:, None], perm, np.arange(r)] = 1
+    return GLattice(G, act, label=f"Ind[{G.order}/{H.order}]")
 
 
 def j_lattice(G, pairs):
     """Norm-one character lattice of a family (H_i, e_i) with multiplicities.
 
     Quotient of ⊕_i (Ind_{H_i} Z)^{e_i} by the diagonal copy of Z (the
-    all-ones vector of every block); rank is Σ e_i (G:H_i) - 1.  Returns
-    the lattice and the quotient map from the direct sum.
+    all-ones vector); rank is Σ e_i (G:H_i) - 1.  Its basis is the images
+    of the points 1, ..., R-1 (see `_points`), on which g acts by
+    act[g][i, j] = [π_g(j) = i] - [π_g(j) = 0]: point 0 is minus the sum
+    of the others.
     """
     pairs = list(pairs)
-    if not pairs:
-        raise EmptyFamily("at least one subgroup is required")
-    total = None
-    for H, e in pairs:
-        if H.parent is not G:
-            raise GroupMismatch("subgroup does not live in the given group")
-        e = int(e)
-        if e < 1:
-            raise SpecInvalid("multiplicities must be positive")
-        ind, _ = induced_perm_lattice(G, H)
-        for _ in range(e):
-            total = ind if total is None else direct_sum(total, ind)
-    # The quotient map q = [-1 | I] kills the all-ones vector and sends e_i
-    # to f_i for i >= 1 and e_0 to -(f_1 + ... + f_{R-1}), so P f_j =
-    # q(P e_j) has coefficient P[i, j] - P[0, j] on f_i.
-    R = total.rank
-    P = total.act
-    act_j = P[:, 1:, 1:] - P[:, :1, 1:]
-    names = ",".join(f"{H.order}^{e}" if e > 1 else f"{H.order}" for H, e in pairs)
-    lat = GLattice(G, act_j, label=f"J[{G.order}/({names})]", validate=False)
-    quotient = np.hstack([-np.ones((R - 1, 1), dtype=np.int64), np.eye(R - 1, dtype=np.int64)])
-    qmap = LatticeMap(total, lat, quotient)
-    return lat, qmap
+    perm = _points(G, pairs)[:, 1:]
+    n, r = perm.shape
+    act = np.zeros((n, r, r), dtype=np.int64)
+    g, j = np.nonzero(perm)
+    act[g, perm[g, j] - 1, j] = 1
+    g, j = np.nonzero(perm == 0)
+    act[g, :, j] = -1
+    names = ",".join(f"{H.order}^{int(e)}" if e > 1 else f"{H.order}" for H, e in pairs)
+    return GLattice(G, act, label=f"J[{G.order}/({names})]")
 
 
 def restrict(M, D):
@@ -168,4 +111,4 @@ def restrict(M, D):
         raise GroupMismatch("subgroup does not live in the lattice's group")
     sub, elems = D.as_group()
     act = M.act[np.array(elems, dtype=np.int64)]
-    return GLattice(sub, act, label=f"{M.label}|{D.order}", validate=False)
+    return GLattice(sub, act, label=f"{M.label}|{D.order}")

@@ -206,31 +206,27 @@ def _on_line(mats, line, p):
 
 class RepTwoDim:
     """A 2-dimensional representation over F_p of a group of coprime order,
-    with an optional marked line and line-stabilizing subgroup."""
+    with an optional marked line and line-stabilizing subgroup.  The
+    constructor checks all three, in O(|G|) 2x2 products."""
 
     __slots__ = ("group", "p", "mats", "line", "hprime")
 
-    def __init__(self, group, p, mats, line=None, hprime=None, validate=True):
-        self.group = group
-        self.p = int(p)
-        mats = np.asarray(mats, dtype=np.int64) % self.p
-        if mats.shape != (group.order, 2, 2):
+    def __init__(self, group, p, mats, line=None, hprime=None):
+        self.group = G = group
+        self.p = p = int(p)
+        mats = np.asarray(mats, dtype=np.int64) % p
+        if mats.shape != (G.order, 2, 2):
             raise SpecInvalid("need one 2x2 matrix per group element")
         self.mats = mats
-        self.line = normalize_line(line, self.p) if line is not None else None
+        self.line = normalize_line(line, p) if line is not None else None
         self.hprime = hprime
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        G, p = self.group, self.p
         if G.order % p == 0:
             raise NotCoprime("the group order must be coprime to p")
-        images = matrix_images(G, self.mats[list(G.gens)], p)
-        if images is None or (images != self.mats).any():
+        images = matrix_images(G, mats[list(G.gens)], p)
+        if images is None or (images != mats).any():
             raise SpecInvalid("matrices do not define a homomorphism")
-        if self.hprime is not None and self.line is not None:
-            stays, _ = _on_line(self.mats[list(self.hprime.elements)], self.line, p)
+        if hprime is not None and self.line is not None:
+            stays, _ = _on_line(mats[list(hprime.elements)], self.line, p)
             if not stays.all():
                 raise SpecInvalid("marked subgroup does not stabilize the line")
 
@@ -243,7 +239,7 @@ def _rep_from_generator_matrix(G, M, p, line=None, hprime=None):
     mats = matrix_images(G, np.asarray(M)[None][: len(G.gens)], p)
     if mats is None:
         raise SpecInvalid("generator matrix does not define a representation")
-    return RepTwoDim(G, p, mats, line=line, hprime=hprime, validate=False)
+    return RepTwoDim(G, p, mats, line=line, hprime=hprime)
 
 
 def witness_rep(p, n):

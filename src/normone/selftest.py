@@ -46,7 +46,7 @@ def _check(name, fn):
 
 def _sha_j(G, subgroups, budget, dset=()):
     """Sha of the norm-one lattice of a family, each subgroup once."""
-    lat, _ = j_lattice(G, [(H, 1) for H in subgroups])
+    lat = j_lattice(G, [(H, 1) for H in subgroups])
     return sha(G, lat, list(dset), budget).structure
 
 
@@ -77,7 +77,7 @@ def _shapiro_small(budget):
     for name in QUICK_NAMES:
         G = catalog_group(name)
         for H in all_subgroups(G):
-            ind, _ = induced_perm_lattice(G, H)
+            ind = induced_perm_lattice(G, H)
             h2 = cohomology(G, ind, 2, budget).structure
             sub, _ = H.as_group()
             ab, _ = abelianization(sub) if sub.order > 1 else (FinAb.trivial(), None)
@@ -94,7 +94,7 @@ def _h1_oracle(budget):
         G = catalog_group(name)
         for H in cyclic_subgroups(G)[:4]:
             fam = [(H, 1)]
-            lat, _ = j_lattice(G, fam)
+            lat = j_lattice(G, fam)
             assert cohomology(G, lat, 1, budget).structure == h1_character_kernel(G, fam)
             count += 1
     return f"{count} families"

@@ -193,7 +193,7 @@ def _prime_to_p(G, H, S, dset, budget):
         )
     sub, elems = complement(G, S).as_group()
     Hp_local = SubgroupHandle(sub, [i for i, x in enumerate(elems) if SH.contains(x)])
-    J, _ = j_lattice(sub, [(Hp_local, 1)])
+    J = j_lattice(sub, [(Hp_local, 1)])
     result = sha(sub, J, [], budget)
     return result.structure
 
@@ -273,7 +273,7 @@ def sha_full(G, H, p, dset=(), method="both", budget=DEFAULT_COCHAIN_BUDGET):
     if method in ("brute", "both"):
         t0 = time.perf_counter()
         try:
-            J, _ = j_lattice(G, [(H, 1)])
+            J = j_lattice(G, [(H, 1)])
             res = sha(G, J, raw, budget)
             brute_result = res.structure
             report.brute_result = brute_result
@@ -308,7 +308,7 @@ def _p_restriction_check(G, H, S, budget):
     of the Sylow subgroup is prime to p), so it is a sound upper bound for
     the structural p-part to embed into.
     """
-    J, _ = j_lattice(G, [(H, 1)])
+    J = j_lattice(G, [(H, 1)])
     JS = restrict(J, S)
     sub = JS.group
     return sha(sub, JS, [], budget).structure

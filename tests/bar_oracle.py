@@ -16,7 +16,15 @@ the whole n x n bar table, which `restriction_class` restricts to a
 subgroup and `cocycle2_defect` checks; `close_dset` is the closed dset as
 subgroup handles.  `is_coboundary` decides whether a bar 2-cocycle
 bounds, with a witness, by solving the whole bar system d^1 b = c.
-`trivial_lattice` is the fixture Z^r with the trivial action.
+`trivial_lattice` is the fixture Z^r with the trivial action and
+`direct_sum` the block-diagonal sum of two lattices.  `reference_induced`
+and `reference_j_lattice` build the permutation and norm-one lattices the
+long way, which normone.lattices' single point permutation replaced:
+each induced block by a loop over elements and cosets, their
+block-diagonal sum, then J's action as q P s for the quotient map
+q = [-1 | I] and the section s = [0; I].  `check_g_lattice` checks that a
+lattice's action is a homomorphism; `invariant_factors` gives the
+nonzero invariant factors of an integer matrix.
 Tests only; nothing in normone imports it.
 """
 
@@ -36,14 +44,72 @@ from normone.cohomology import (
 from normone.errors import SpecInvalid
 from normone.finab import FinAb
 from normone.groups import cyclic_subgroups
-from normone.lattices import GLattice, restrict
+from normone.lattices import GLattice, coset_table, restrict
 
 
 def trivial_lattice(G, rank):
     if rank < 0:
         raise SpecInvalid("rank must be nonnegative")
     act = np.broadcast_to(np.eye(rank, dtype=np.int64), (G.order, rank, rank)).copy()
-    return GLattice(G, act, label=f"Z^{rank}", validate=False)
+    return GLattice(G, act, label=f"Z^{rank}")
+
+
+def direct_sum(M, N):
+    r, s = M.rank, N.rank
+    act = np.zeros((M.group.order, r + s, r + s), dtype=np.int64)
+    act[:, :r, :r] = M.act
+    act[:, r:, r:] = N.act
+    return GLattice(M.group, act, label=f"{M.label}+{N.label}")
+
+
+def reference_induced(G, H):
+    """The permutation lattice on G/H, one matrix entry at a time."""
+    reps, coset_of = coset_table(G, H)
+    r = len(reps)
+    act = np.zeros((G.order, r, r), dtype=np.int64)
+    for g in G.elements():
+        for j, x in enumerate(reps):
+            act[g, coset_of[G.mul[g, x]], j] = 1
+    return GLattice(G, act, label=f"Ind[{G.order}/{H.order}]")
+
+
+def quotient_matrix(R):
+    """q = [-1 | I]: Z^R -> Z^(R-1), whose kernel is spanned by the all-ones vector."""
+    return np.hstack([-np.ones((R - 1, 1), dtype=np.int64), np.eye(R - 1, dtype=np.int64)])
+
+
+def reference_j_lattice(G, pairs):
+    """J of the family (H_i, e_i): the quotient of the block-diagonal sum P
+    of the induced blocks by the all-ones vector, acting by q P s."""
+    total = None
+    for H, e in pairs:
+        for _ in range(e):
+            ind = reference_induced(G, H)
+            total = ind if total is None else direct_sum(total, ind)
+    R = total.rank
+    section = np.vstack([np.zeros((1, R - 1), dtype=np.int64), np.eye(R - 1, dtype=np.int64)])
+    return GLattice(G, quotient_matrix(R) @ total.act @ section, label="J")
+
+
+def check_g_lattice(M):
+    """Raise SpecInvalid unless the identity acts trivially and act[g s] =
+    act[g] act[s] on every edge (g, s) of the Cayley graph on G.gens, which
+    forces act to be a homomorphism on all pairs."""
+    G, act = M.group, M.act
+    if not (act[G.identity] == np.eye(M.rank, dtype=np.int64)).all():
+        raise SpecInvalid("identity must act trivially")
+    for s in G.gens:
+        if not (act @ act[s] == act[G.mul[:, s]]).all():
+            raise SpecInvalid("action is not a homomorphism")
+
+
+def invariant_factors(A):
+    """Nonzero invariant factors of A (via a row-lattice precompression)."""
+    A = np.asarray(A)
+    if A.ndim != 2 or min(A.shape) == 0 or not np.any(A):
+        return []
+    diag, _, _, _ = intmat.smith(intmat.row_lattice_basis(A))
+    return diag
 
 
 def _nonid(G):

@@ -201,11 +201,11 @@ def s3_standard_rep(p):
         raise PreconditionFailed("a prime p >= 5 is required")
     s3 = build_group(symmetric3_spec())
     H = subgroup_closure(s3, [s3.gens[1]])  # the marked point stabilizer
-    J, qmap = j_lattice(s3, [(H, 1)])
+    J = j_lattice(s3, [(H, 1)])
     reps_list, coset_of = coset_table(s3, H)
     w = np.full(len(reps_list), -1, dtype=np.int64)
     w[coset_of[s3.identity]] = 2
-    line = normalize_line((qmap.matrix @ w) % p, p)
+    line = normalize_line((w[1:] - w[0]) % p, p)  # the quotient map [-1 | I]
     return RepTwoDim(s3, p, J.act % p, line=line, hprime=H)
 
 

@@ -4,6 +4,7 @@ import pytest
 from bar_oracle import (
     apply_coboundary1,
     bar_table,
+    check_g_lattice,
     close_dset,
     cocycle2_defect,
     is_coboundary,
@@ -64,13 +65,13 @@ def test_h0_fixed_rank_of_family_lattice():
         ([(H, 1), (S, 1)], 1),
         ([(H, 1), (S, 1), (full_subgroup(G), 1)], 2),
     ]:
-        lat, _ = j_lattice(G, fam)
+        lat = j_lattice(G, fam)
         assert cohomology(G, lat, 0).free_rank == expect
 
 
 def test_generators_are_exact_cocycles_with_exact_orders():
     G = catalog_group("V4")
-    lat, _ = j_lattice(G, [(trivial_subgroup(G), 1)])
+    lat = j_lattice(G, [(trivial_subgroup(G), 1)])
     h2 = cohomology(G, lat, 2)
     assert h2.structure == FinAb.cyclic(2)
     for order, gen in zip(h2.structure.factors, h2.generators):
@@ -87,7 +88,7 @@ def test_generators_are_exact_cocycles_with_exact_orders():
 def test_budget_exceeded():
     # A4 is presented on two generators: C^2 is (12*2 - 12 + 1) * 5 = 65 columns
     G = catalog_group("A4")
-    lat, _ = j_lattice(G, [(subgroup_closure(G, [1]), 1)])
+    lat = j_lattice(G, [(subgroup_closure(G, [1]), 1)])
     with pytest.raises(BudgetExceeded) as err:
         cohomology(G, lat, 2, budget=60)
     assert err.value.sizes["columns"] == 65
@@ -107,13 +108,13 @@ def test_induced_h2_is_abelianization_small():
     for name in ("Z6", "S3", "D4", "Q8", "V4", "Z8"):
         G = catalog_group(name)
         for H in all_subgroups(G):
-            ind, _ = induced_perm_lattice(G, H)
+            ind = induced_perm_lattice(G, H)
             sub, _ = H.as_group()
             ab = abelianization(sub)[0] if sub.order > 1 else FinAb.trivial()
             assert cohomology(G, ind, 2).structure == ab, (name, H.order)
     # pinned: the lattice induced from A3 up to S3
     S3 = catalog_group("S3")
-    ind, _ = induced_perm_lattice(S3, subgroup_closure(S3, [S3.gens[0]]))
+    ind = induced_perm_lattice(S3, subgroup_closure(S3, [S3.gens[0]]))
     assert cohomology(S3, ind, 2).structure == FinAb.cyclic(3)
 
 
@@ -121,7 +122,7 @@ def test_restriction_kernel_of_induced_vanishes():
     for name in ("S3", "D4", "Q8", "Z2xZ4"):
         G = catalog_group(name)
         for H in all_subgroups(G):
-            ind, _ = induced_perm_lattice(G, H)
+            ind = induced_perm_lattice(G, H)
             assert sha(G, ind, []).structure.is_trivial(), (name, H.order)
 
 
@@ -144,7 +145,7 @@ def test_h1_agreement_on_catalog():
         fams = [[(h, 1)] for h in cycs[:3]]
         fams.append([(cycs[0], 1), (cycs[-1], 2)])
         for fam in fams:
-            lat, _ = j_lattice(G, fam)
+            lat = j_lattice(G, fam)
             assert cohomology(G, lat, 1).structure == h1_character_kernel(G, fam), name
 
 
@@ -154,12 +155,21 @@ def test_h1_multiplicity_invariance():
     assert h1_character_kernel(G, [(H, 1)]) == h1_character_kernel(G, [(H, 3)])
 
 
+def test_h1_character_kernel_refuses_a_foreign_subgroup():
+    # a subgroup of another group of the same order, as j_lattice refuses it
+    G, D4 = catalog_group("Z2xZ4"), catalog_group("D4")
+    fam = [(cyclic_subgroups(D4)[3], 1)]  # read over Z2xZ4, it gave Z/4
+    for fn in (h1_character_kernel, j_lattice):
+        with pytest.raises(GroupMismatch):
+            fn(G, fam)
+
+
 # -- restriction and coboundary tests --------------------------------------------
 
 
 def test_restriction_to_trivial_and_full():
     G = catalog_group("V4")
-    lat, _ = j_lattice(G, [(trivial_subgroup(G), 1)])
+    lat = j_lattice(G, [(trivial_subgroup(G), 1)])
     h2 = cohomology(G, lat, 2)
     gen = np.array(bar_table(G, h2.generators[0]), dtype=object)
     r = restriction_class(gen, trivial_subgroup(G))
@@ -187,7 +197,7 @@ def test_nontrivial_class_of_z2_not_coboundary():
 
 def test_sha_generators_restrict_to_coboundaries():
     G = a4()
-    lat, _ = j_lattice(G, [(subgroup_closure(G, [1]), 1)])
+    lat = j_lattice(G, [(subgroup_closure(G, [1]), 1)])
     S = sha(G, lat, [])
     assert S.structure == FinAb.cyclic(2)
     for D in close_dset(G, S.dset_raw):
@@ -210,20 +220,20 @@ def test_sha_generators_restrict_to_coboundaries():
 def test_sha_bicyclic_values():
     for name, n1 in (("V4", 2), ("Z2xZ4", 2), ("Z3xZ3", 3)):
         G = catalog_group(name)
-        lat, _ = j_lattice(G, [(trivial_subgroup(G), 1)])
+        lat = j_lattice(G, [(trivial_subgroup(G), 1)])
         assert sha(G, lat, []).structure == FinAb.cyclic(n1), name
 
 
 def test_sha_cyclic_group_vanishes():
     G = catalog_group("Z6")
-    lat, _ = j_lattice(G, [(trivial_subgroup(G), 1)])
+    lat = j_lattice(G, [(trivial_subgroup(G), 1)])
     assert sha(G, lat, []).structure.is_trivial()
 
 
 def test_sha_prime_index_vanishes():
     G = catalog_group("S3")
     T = subgroup_closure(G, [G.gens[1]])
-    lat, _ = j_lattice(G, [(T, 1)])
+    lat = j_lattice(G, [(T, 1)])
     assert sha(G, lat, []).structure.is_trivial()
 
 
@@ -238,26 +248,26 @@ def test_sha_cyclic_sylows_kill_every_family():
             [(cycs[1], 2)],
         ]
         for fam in fams:
-            lat, _ = j_lattice(G, fam)
+            lat = j_lattice(G, fam)
             assert sha(G, lat, []).structure.is_trivial(), (name, lat.rank)
 
 
 def test_sha_a4_with_and_without_sylow():
     G = a4()
-    lat, _ = j_lattice(G, [(subgroup_closure(G, [1]), 1)])
+    lat = j_lattice(G, [(subgroup_closure(G, [1]), 1)])
     assert sha(G, lat, []).structure == FinAb.cyclic(2)
     assert sha(G, lat, [sylow_subgroup(G, 2)]).structure.is_trivial()
 
 
 def test_sha_with_full_group_in_dset():
     G = catalog_group("V4")
-    lat, _ = j_lattice(G, [(trivial_subgroup(G), 1)])
+    lat = j_lattice(G, [(trivial_subgroup(G), 1)])
     assert sha(G, lat, [full_subgroup(G)]).structure.is_trivial()
 
 
 def test_sha_records_raw_and_closed_dsets():
     G = a4()
-    lat, _ = j_lattice(G, [(subgroup_closure(G, [1]), 1)])
+    lat = j_lattice(G, [(subgroup_closure(G, [1]), 1)])
     S2 = sylow_subgroup(G, 2)
     out = sha(G, lat, [S2])
     assert [d.elements for d in out.dset_raw] == [S2.elements]
@@ -266,27 +276,30 @@ def test_sha_records_raw_and_closed_dsets():
 
 def test_inflation_invariance():
     # a lattice pulled back along a surjection q: G ->> Q acts by act[q(g)];
-    # GLattice validates the pulled-back action
+    # check_g_lattice confirms that each pulled-back action is one
     # along Z/4 ->> Z/2 with the one-dimensional sign module
     Z4 = build_group(cyclic_spec(4))
     Z2 = build_group(cyclic_spec(2))
-    J2, _ = j_lattice(Z2, [(trivial_subgroup(Z2), 1)])
+    J2 = j_lattice(Z2, [(trivial_subgroup(Z2), 1)])
     lifted = GLattice(Z4, J2.act[[g % 2 for g in range(4)]])
+    check_g_lattice(lifted)
     assert sha(Z4, lifted, []).structure == sha(Z2, J2, []).structure
 
     # along the order-12 group ->> Z/3
     G = a4()
     Z3 = build_group(cyclic_spec(3))
-    J3, _ = j_lattice(Z3, [(trivial_subgroup(Z3), 1)])
+    J3 = j_lattice(Z3, [(trivial_subgroup(Z3), 1)])
     lifted = GLattice(G, J3.act[[g // 4 for g in range(12)]])
+    check_g_lattice(lifted)
     assert sha(G, lifted, []).structure == sha(Z3, J3, []).structure
 
     # a nonzero case: Z/2 x Z/4 ->> (Z/2)^2
     B = catalog_group("Z2xZ4")
     V4 = catalog_group("V4")
-    JV, _ = j_lattice(V4, [(trivial_subgroup(V4), 1)])
+    JV = j_lattice(V4, [(trivial_subgroup(V4), 1)])
     qmap = [(g // 4) * 2 + (g % 4) % 2 for g in range(8)]
     lifted = GLattice(B, JV.act[qmap])
+    check_g_lattice(lifted)
     got = sha(B, lifted, []).structure
     assert got == sha(V4, JV, []).structure == FinAb.cyclic(2)
 
@@ -308,7 +321,7 @@ def test_tate_trivial_coefficients():
 def test_tate_swap_lattice():
     G = catalog_group("S3")
     A3 = subgroup_closure(G, [G.gens[0]])
-    ind, _ = induced_perm_lattice(G, A3)
+    ind = induced_perm_lattice(G, A3)
     T = subgroup_closure(G, [G.gens[1]])
     sw = restrict(ind, T)
     assert tate_cyclic(T, sw, 1).is_trivial()
@@ -317,13 +330,13 @@ def test_tate_swap_lattice():
 def test_tate_agrees_with_bar_complex():
     for n in (2, 3, 4, 6):
         G = build_group(cyclic_spec(n))
-        for lat in (trivial_lattice(G, 1), j_lattice(G, [(trivial_subgroup(G), 1)])[0]):
+        for lat in (trivial_lattice(G, 1), j_lattice(G, [(trivial_subgroup(G), 1)])):
             D = full_subgroup(G)
             assert tate_cyclic(D, lat, 1) == cohomology(G, lat, 1).structure
             assert tate_cyclic(D, lat, 0) == cohomology(G, lat, 2).structure
     # and on per-subgroup restrictions inside a bigger group
     G = a4()
-    J, _ = j_lattice(G, [(subgroup_closure(G, [1]), 1)])
+    J = j_lattice(G, [(subgroup_closure(G, [1]), 1)])
     for D in cyclic_subgroups(G):
         if D.order == 1:
             continue
@@ -344,7 +357,7 @@ def test_tate_refuses_a_lattice_over_a_non_cyclic_group():
     # D is cyclic of order 4, but the lattice lives over the Klein four-group
     # V of the same order, which has no element of order 4
     G = catalog_group("Z2xZ4")
-    J, _ = j_lattice(G, [(trivial_subgroup(G), 1)])
+    J = j_lattice(G, [(trivial_subgroup(G), 1)])
     D = next(H for H in all_subgroups(G) if H.order == 4 and H.is_cyclic)
     V = next(H for H in all_subgroups(G) if H.order == 4 and not H.is_cyclic)
     with pytest.raises(GroupMismatch):

@@ -4,7 +4,7 @@ On every proper nontrivial subgroup class H of the order-12 pair A4, of
 alpha5 (`a4_shape_spec(5)`) and of beta5 (`beta_shape_spec(5)`), the
 answer of `sha_full(method="both")` (result, theorem_result, brute_result,
 agreement) and of `classify_two_prime_index` (or the error type it raises)
-stays the same under three changes of presentation:
+stays the same under four changes of presentation:
 
 - a seeded random relabelling of the multiplication table, which moves
   the identity too;
@@ -12,7 +12,14 @@ stays the same under three changes of presentation:
   q-subgroup T (q = 3), which conjugation moves, unlike the normal Sylow
   p-subgroup S; the closed dset covers T, so the answer is that of the
   empty dset;
-- the dset [S] reordered, with the covered member T listed twice, as [T, S, T].
+- the dset [S] reordered, with the covered member T listed twice, as [T, S, T];
+- the Cayley-tree presentation (G.gens, *G.cayley_tree) that the brute
+  path falls back to when it finds no generating pair, in place of the
+  pair it finds; also for the witness (i) pair at p = 2.  All four groups
+  have three or four greedy generators, so the brute d^1 has about twice
+  or three times the rows.  On beta5 this covers the classes of index at
+  most 25 (6 of 10, one with Sha = Z/5): at index 30, 50 and 75 the
+  fallback takes about 1, 5 and 16 s per class.
 
 The searches behind these answers (generating pairs, greedy growth,
 complements, class representatives) walk the elements in index order, so
@@ -27,7 +34,7 @@ import pytest
 from normone.catalog import a4_shape_spec, beta_shape_spec
 from normone.errors import NormOneError
 from normone.groups import FiniteGroup, SubgroupHandle, all_subgroups, build_group, sylow_subgroup
-from normone.structure import classify_two_prime_index, sha_full
+from normone.structure import classify_two_prime_index, composite_sha_witness, sha_full
 
 # name -> (spec, the prime of the query, the prime of a cyclic, non-normal Sylow subgroup)
 GROUPS = {
@@ -114,3 +121,21 @@ def test_answers_survive_dset_order_and_repeats(name):
     S, T = sylow_subgroup(G, p), _cyclic_sylow(G, name)
     for H, (_, want) in zip(classes, answers):
         assert _answer(G, H, p, [T, S, T]) == want, (name, H.elements)
+
+
+@pytest.mark.parametrize("name", [*GROUPS, "witness (i) p=2"])
+def test_answers_survive_the_cayley_tree_presentation(name, monkeypatch):
+    if name in GROUPS:
+        G, classes, answers = _base(name)
+        spec, p, _ = GROUPS[name]
+        cases = [(H.elements, want) for H, (want, _) in zip(classes, answers) if G.order <= 25 * H.order]
+    else:
+        spec, H, _ = composite_sha_witness(2, "i")
+        G, p = H.parent, 2
+        cases = [(H.elements, _answer(G, H, p, []))]
+    pair = G.presentation[0]
+    monkeypatch.setattr(FiniteGroup, "presentation", property(lambda F: (F.gens, *F.cayley_tree)))
+    F = build_group(spec)
+    assert len(F.presentation[0]) > 2 and len(pair) == 2
+    for elements, want in cases:
+        assert _answer(F, SubgroupHandle(F, list(elements)), p, []) == want, (name, elements)

@@ -92,7 +92,7 @@ def test_matches_bar_oracle(name, make):
     R = len(G.presentation[2])
     dsets = ([], [sylow_subgroup(G, 2)])
     for H in _subgroup_classes(G):
-        for lat in (j_lattice(G, [(H, 1)])[0], induced_perm_lattice(G, H)[0]):
+        for lat in (j_lattice(G, [(H, 1)]), induced_perm_lattice(G, H)):
             case = (name, H.order, lat.rank)
             assert cohomology(G, lat, 1).structure == bar_oracle.cohomology(G, lat, 1).structure, case
             base = bar_oracle.cohomology(G, lat, 2)
@@ -140,7 +140,7 @@ def test_restriction_lattice_matches_per_member_route(name, make):
     G = make()
     checked = 0
     for H in _subgroup_classes(G):
-        for lat in (j_lattice(G, [(H, 1)])[0], induced_perm_lattice(G, H)[0]):
+        for lat in (j_lattice(G, [(H, 1)]), induced_perm_lattice(G, H)):
             base = cohomology(G, lat, 2)
             if not base.generators:
                 continue
@@ -156,7 +156,7 @@ def test_sha_solves_one_stacked_kernel(monkeypatch):
     # one kernel for every member at once, and cyclic members need no
     # restricted lattice: a dset-free query restricts nothing
     G = catalog_group("A4")
-    lat, _ = j_lattice(G, [(subgroup_closure(G, [1]), 1)])
+    lat = j_lattice(G, [(subgroup_closure(G, [1]), 1)])
     kernels, restricts = [], []
     kernel_basis, restrict = intmat.kernel_basis, cohomology_module.restrict
     monkeypatch.setattr(intmat, "kernel_basis", lambda A: kernels.append(A) or kernel_basis(A))
@@ -182,7 +182,7 @@ def test_sha_kernels_match_reference_routes(monkeypatch):
         for name in catalog_names():
             G = catalog_group(name)
             for H in _subgroup_classes(G):
-                lat, _ = j_lattice(G, [(H, 1)])
+                lat = j_lattice(G, [(H, 1)])
                 for dset in ([], [sylow_subgroup(G, 2)]):
                     S = sha(G, lat, dset)
                     out.append((name, H.elements, len(dset), S.structure,
@@ -237,7 +237,7 @@ def test_regular_norm_one_kernel_is_schur_multiplier(name, make, schur):
     # Tate: for H = 1, Z[G] is cohomologically trivial and H^3(C, Z) = 0 for
     # cyclic C, so Sha^2(G, J_G) = H^2(G, J_G) = H^3(G, Z) = M(G)
     G = make()
-    lat, _ = j_lattice(G, [(trivial_subgroup(G), 1)])
+    lat = j_lattice(G, [(trivial_subgroup(G), 1)])
     got = sha(G, lat, [])
     assert got.base.structure == got.structure == schur
 
@@ -249,7 +249,7 @@ ABELIAN = [(2, 2), (2, 4), (4, 4), (2, 6), (3, 3), (3, 6), (2, 8), (2, 2, 2), (2
 def test_abelian_schur_closed_form(factors):
     # M(Z/n_1 + ... + Z/n_m) = sum over i < j of Z/gcd(n_i, n_j)
     G = build_group(abelian_spec(*factors))
-    lat, _ = j_lattice(G, [(trivial_subgroup(G), 1)])
+    lat = j_lattice(G, [(trivial_subgroup(G), 1)])
     expected = FinAb.from_factors([math.gcd(a, b) for a, b in combinations(factors, 2)])
     assert sha(G, lat, []).structure == expected
 
@@ -267,7 +267,7 @@ def test_cocycle_defect_matches_full_defect_on_perturbations(name):
     # pair by pair give the oracle's whole table, so the same d^2 over all
     # n^3 triples, 0 on the cocycle and nonzero on each perturbation
     G = catalog_group(name)
-    lat, _ = j_lattice(G, [(trivial_subgroup(G), 1)])
+    lat = j_lattice(G, [(trivial_subgroup(G), 1)])
     rng = np.random.default_rng(sum(map(ord, name)))
     f = rng.integers(-3, 4, size=_coboundary1(lat).shape[1])
     z = sum(cohomology(G, lat, 2).generators) + (_coboundary1(lat) @ f).reshape(-1, lat.rank)
@@ -295,7 +295,7 @@ def test_is_coboundary_witness_and_non_cocycles():
     # a coboundary is recognised with an exact witness; perturbing one entry
     # leaves a table that is not a cocycle, which must be refused
     G = catalog_group("A4")
-    lat, _ = j_lattice(G, [(sylow_subgroup(G, 2), 1)])
+    lat = j_lattice(G, [(sylow_subgroup(G, 2), 1)])
     rng = np.random.default_rng(5)
     b = rng.integers(-4, 5, size=(G.order, lat.rank)).astype(object)
     b[G.identity] = 0
@@ -313,7 +313,7 @@ def test_h1_generators_are_crossed_homomorphisms():
     for name in ("V4", "Z2xZ4", "Z3xZ3", "E8", "D4"):
         G = catalog_group(name)
         for H in all_subgroups(G):
-            lat, _ = j_lattice(G, [(H, 1)])
+            lat = j_lattice(G, [(H, 1)])
             h1 = cohomology(G, lat, 1)
             for d, b in zip(h1.structure.factors, h1.generators):
                 for g in range(G.order):
